@@ -158,6 +158,15 @@ func (c *Constraint) masterSide(dm *relation.Database) map[string]bool {
 	return c.masterCache(dm).rhs
 }
 
+// MasterIDKeys returns p(Dm) as the memoized set of fixed-width id-keys
+// over the shared dictionary (relation.AppendIDKey of each projected
+// row; see masterCache). ok is false when the projected master
+// instance uses legacy string storage and no id form exists.
+func (c *Constraint) MasterIDKeys(dm *relation.Database) (keys map[string]bool, ok bool) {
+	pc := c.masterCache(dm)
+	return pc.rhsIDs, pc.rhsIDs != nil
+}
+
 // New builds a containment constraint.
 func New(name string, q qlang.Query, p Projection) *Constraint {
 	c := &Constraint{Name: name, Q: q, P: p}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/obs"
 	"repro/internal/qlang"
-	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -126,35 +125,28 @@ func (ck *Checker) degree(q qlang.Query, d, dm *relation.Database, v *cc.Set, gv
 		res.finish()
 		return res, nil
 	}
-	for di, t := range prep.tableaux {
-		search := prep.searches[di]
+	for di, search := range prep.searches {
 		if search == nil {
 			continue
 		}
-		var cbErr error
-		err := search.run(func(b query.Binding) bool {
-			r, err := rcdpWitness(t, di, b, prep.schemas, prep.answerSet, d, dm, v, gate)
+		_, n, stop := search.run(func(mu *valuation) (any, error) {
+			r, err := rcdpWitness(mu, di, prep.schemas, prep.answerSet, d, dm, v, gate)
 			if err != nil {
-				cbErr = err
-				return false
+				return nil, err
 			}
 			res.Candidates++
 			if r != nil {
 				res.Counterexamples++
 				// The witness extension is never surfaced — counting
 				// continues past it — so recycle its storage.
-				t.ReleaseApplied(r.Extension)
+				mu.release(r.Extension)
 			}
-			return true
+			return nil, nil
 		})
-		visited += search.visited
-		noteDisjunct(di, search.visited, false)
-		if cbErr == nil && err == nil {
-			continue
-		}
-		stop := cbErr
+		visited += n
+		noteDisjunct(di, n, false)
 		if stop == nil {
-			stop = err
+			continue
 		}
 		r := reasonOf(stop)
 		if r == ReasonNone {

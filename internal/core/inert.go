@@ -118,33 +118,23 @@ func collapsibleVars(t *cq.Tableau, constrained map[string]map[int]bool, doms ma
 	return out
 }
 
-// applyCollapse pins the collapsible variables of the search to
-// dedicated fresh values taken from the end of the universe's fresh
-// pool (the symmetry-breaking prefix for the remaining variables grows
-// from the front, so the two never collide as long as the pool holds
-// one fresh value per variable).
-func (s *valuationSearch) applyCollapse(v *cc.Set) {
-	s.applyCollapseFrom(inertPositions(v))
-}
-
-// applyCollapseFrom is applyCollapse with the inert-position analysis
-// precomputed. The analysis depends only on V, so multi-disjunct
-// callers (and the parallel engine, which shares the resulting
-// collapsed map read-only across workers) compute it once.
-func (s *valuationSearch) applyCollapseFrom(constrained map[string]map[int]bool) {
-	vars := collapsibleVars(s.t, constrained, s.doms)
+// collapseTargets pins the collapsible variables to dedicated fresh
+// values taken from the end of the universe's fresh pool (the
+// symmetry-breaking prefix for the remaining variables grows from the
+// front, so the two never collide as long as the pool holds one fresh
+// value per variable). It returns variable → fresh id; variables left
+// over when the pool runs out keep their full search.
+func collapseTargets(vars []string, fresh []int32) map[string]int32 {
 	if len(vars) == 0 {
-		return
+		return nil
 	}
-	if s.collapsed == nil {
-		s.collapsed = make(map[string]relation.Value, len(vars))
-	}
-	idx := len(s.u.Fresh)
-	for _, name := range vars {
-		idx--
+	out := make(map[string]int32, len(vars))
+	for k, name := range vars {
+		idx := len(fresh) - 1 - k
 		if idx < 0 {
-			return // fresh pool too small; fall back to full search
+			break
 		}
-		s.collapsed[name] = s.u.Fresh[idx]
+		out[name] = fresh[idx]
 	}
+	return out
 }

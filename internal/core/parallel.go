@@ -6,15 +6,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/query"
 	"repro/internal/relation"
 )
 
 // Parallel valuation search.
 //
-// The top-level variable's candidate branches of a valuationSearch are
+// The top-level slot's candidate branches of a valuationSearch are
 // fanned out to a workerPool; every branch runs the same backtracking
-// recursion as the sequential engine. Determinism does not come from
+// recursion as the sequential engine (searchWorker.rec). Determinism does not come from
 // scheduling (there is none to rely on) but from *keys*: each branch is
 // tagged with a packed (disjunct, branch-index) key, a raceCtl resolves
 // competing witness claims to the lexicographically smallest key, and a
@@ -26,12 +25,12 @@ import (
 //
 // State discipline (see also the valuationSearch field comments):
 //
-//	shared read-only:  Universe, Tableau, doms/order, collapsed,
-//	                   candidates, the pruner template's structural
-//	                   fields, D/Dm (warmed), schemas, answer sets
+//	shared read-only:  Universe, Tableau, the search's slot plan and
+//	                   candidate lists, the IND pruner, D/Dm (warmed),
+//	                   schemas, answer sets
 //	shared mutable:    raceCtl (atomics + mutex), budgetCtl (atomic)
-//	per-worker:        the binding, the pruner clone's backtracking
-//	                   counters, the freshUsed symmetry counter
+//	per-worker:        the slot valuation with its scratch buffers,
+//	                   the freshUsed symmetry counter
 var (
 	// errAbandoned aborts a branch whose key can no longer win.
 	errAbandoned = errors.New("core: branch abandoned")
@@ -146,105 +145,29 @@ func (bc *budgetCtl) exhausted() bool {
 // count returns the number of candidate valuations charged so far.
 func (bc *budgetCtl) count() int { return int(bc.visited.Load()) }
 
-// parallelFn is the complete-valuation callback of a parallel search.
-// It runs concurrently on worker goroutines, so it must only read
-// shared state that is warmed/immutable; the binding it receives is
-// worker-owned and is mutated after the call returns, so anything kept
-// must be cloned or derived (Tableau.Apply and HeadTuple allocate fresh
-// objects). A non-nil claim ends the branch.
-type parallelFn func(b query.Binding) (claim any, err error)
-
-// searchWorker is the per-goroutine state of one branch of a parallel
-// valuation search.
-type searchWorker struct {
-	s      *valuationSearch // shared, read-only during the search
-	pruner *indPruner       // this worker's clone (nil when absent)
-	b      query.Binding    // this worker's binding
-	budget *budgetCtl       // shared with the disjunct's other branches
-	ctl    *raceCtl         // shared with the whole engine
-	key    int64            // this branch's claim key
-	fn     parallelFn
-}
-
-// rec mirrors valuationSearch.run's recursion exactly (same candidate
-// order, same pruning, same fresh-value symmetry), with the sequential
-// budget/stop bookkeeping replaced by the shared controllers.
-func (w *searchWorker) rec(i, freshUsed int) error {
-	if w.ctl.cancelled(w.key) {
-		return errAbandoned
-	}
-	s := w.s
-	if err := s.gate.Poll(); err != nil {
-		// Governance stop: surface through ctl.fail (via branchTasks'
-		// error path) so every other branch abandons promptly.
-		return err
-	}
-	if i == len(s.order) {
-		if !w.budget.visit() {
-			w.ctl.claim(budgetKey(keyDisjunct(w.key)), nil)
-			return errBudgetStop
-		}
-		if !s.t.DiseqsHold(w.b) {
-			return nil
-		}
-		claim, err := w.fn(w.b)
-		if err != nil {
-			return err
-		}
-		if claim != nil {
-			w.ctl.claim(w.key, claim)
-			return errStop
-		}
-		return nil
-	}
-	v := s.order[i]
-	for _, val := range s.candidatesFor(v, freshUsed) {
-		w.b[v] = val
-		if !s.admitAssign(w.pruner, v, w.b) {
-			delete(w.b, v)
-			continue
-		}
-		nf := freshUsed
-		if s.u.IsFresh(val) && isNthFresh(s.u, val, freshUsed) {
-			nf++
-		}
-		err := w.rec(i+1, nf)
-		if !s.naive && w.pruner != nil {
-			w.pruner.unassign(v)
-		}
-		delete(w.b, v)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // branchTasks builds one pool task per top-level candidate branch of
-// the search, tagged (disjunct, branchIndex). Must be called on the
-// coordinating goroutine before the tasks run.
-func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int, fn parallelFn) []func() {
-	launch := func(key int64, init func(w *searchWorker) (freshUsed int, ok bool)) func() {
+// the search, tagged (disjunct, branchIndex). Each task runs its own
+// worker — a private valuation over the shared search — with slot 0
+// fixed to the branch's candidate. Must be called on the coordinating
+// goroutine before the tasks run.
+func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int, fn leafFn) []func() {
+	// launch builds the task for key; first is the branch's slot-0
+	// candidate, or unbound for a variable-free tableau.
+	launch := func(key int64, first int32) func() {
 		return func() {
 			if ctl.cancelled(key) || bud.exhausted() {
 				return
 			}
-			w := &searchWorker{
-				s:      s,
-				pruner: s.pruner.clone(),
-				b:      make(query.Binding, len(s.order)),
-				budget: bud,
-				ctl:    ctl,
-				key:    key,
-				fn:     fn,
-			}
+			w := &searchWorker{s: s, mu: s.newValuation(), budget: bud, fn: fn, ctl: ctl, key: key}
 			start, nf := 0, 0
-			if init != nil {
-				var ok bool
-				if nf, ok = init(w); !ok {
+			if first != unbound {
+				if !w.assign(0, first) {
 					return
 				}
 				start = 1
+				if len(s.fresh) > 0 && first == s.fresh[0] {
+					nf = 1
+				}
 			}
 			switch err := w.rec(start, nf); err {
 			case nil, errStop, errAbandoned, errBudgetStop:
@@ -258,24 +181,12 @@ func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int
 	if len(s.order) == 0 {
 		// Variable-free tableau: a single "branch" checking the empty
 		// valuation.
-		return []func(){launch(packKey(disjunct, 0), nil)}
+		return []func(){launch(packKey(disjunct, 0), unbound)}
 	}
-	v0 := s.order[0]
-	cands := s.candidatesFor(v0, 0)
+	cands := s.candidates(0, 0)
 	tasks := make([]func(), 0, len(cands))
-	for bi, val := range cands {
-		val := val
-		tasks = append(tasks, launch(packKey(disjunct, bi), func(w *searchWorker) (int, bool) {
-			w.b[v0] = val
-			if !s.admitAssign(w.pruner, v0, w.b) {
-				return 0, false
-			}
-			nf := 0
-			if s.u.IsFresh(val) && isNthFresh(s.u, val, 0) {
-				nf = 1
-			}
-			return nf, true
-		}))
+	for bi, id := range cands {
+		tasks = append(tasks, launch(packKey(disjunct, bi), id))
 	}
 	return tasks
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/qlang"
-	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -238,24 +237,12 @@ func (ck *Checker) rcdpSlice(q qlang.Query, d, dm *relation.Database, v *cc.Set,
 
 	ctl := newRaceCtl()
 claims:
-	for di := range prep.tableaux {
-		search := prep.searches[di]
+	for di, search := range prep.searches {
 		if search == nil {
 			continue
 		}
 		bud := ck.sliceBudget(di)
-		t := prep.tableaux[di]
-		fn := func(b query.Binding) (any, error) {
-			r, err := rcdpWitness(t, di, b, prep.schemas, prep.answerSet, d, dm, v, gate)
-			if err != nil {
-				return nil, err
-			}
-			if r == nil {
-				return nil, nil
-			}
-			return r, nil
-		}
-		tasks := search.branchTasks(ctl, bud, di, fn)
+		tasks := search.branchTasks(ctl, bud, di, prep.witnessFn(di, d, dm, v, gate))
 		// Baseline at the current count: a shared ledger may already
 		// carry other slices' charges, which are not this slice's.
 		prevVisited := bud.count()

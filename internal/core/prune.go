@@ -2,8 +2,6 @@ package core
 
 import (
 	"repro/internal/cc"
-	"repro/internal/cq"
-	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -15,30 +13,33 @@ import (
 // exactly on complete valuations by the caller — so pruning is always
 // sound and, for all-IND V, also complete per-template.
 //
-// Sharing discipline: byRel (including the allowed-key sets computed
-// from Dm), templates and tplOf are immutable after newINDPruner and
-// are shared by clones; tplRemain is the backtracking state and is the
-// only per-worker field (see clone).
+// Slots are assigned in order, so a template becomes ground exactly
+// when its highest slot is assigned: the pruner precomputes that slot
+// per template and keeps no backtracking state. Membership probes use
+// fixed-width id-keys in the valuation's scratch buffer, so a check
+// allocates nothing. Everything here is read-only after newINDPruner
+// and is shared by the workers of a parallel search.
 type indPruner struct {
-	// byRel maps a relation to its INDs' (columns, allowed tuple keys).
-	byRel map[string][]indCheck
-	// tplRemain[i] is the number of distinct unassigned variables left
-	// in template i; tplOf maps a variable to the templates containing
-	// it.
-	templates []query.RelAtom
-	tplRemain []int
-	tplOf     map[string][]int
+	// templates are the search's compiled templates.
+	templates [][]slotTerm
+	// checks[ti] are the INDs over template ti's relation.
+	checks [][]indCheck
+	// groundAt[i] lists the templates with checks whose highest slot is
+	// slot i.
+	groundAt [][]int
 }
 
 type indCheck struct {
-	cols    []int
-	allowed map[string]bool // nil means ⊆ ∅ (no tuple allowed)
+	cols []int
+	// allowed is p(Dm) as id-keys (relation.AppendIDKey); empty when
+	// the right-hand side is ∅ or names no master tuple.
+	allowed map[string]bool
 }
 
-// newINDPruner builds a pruner for the tableau; it returns nil when V
+// newINDPruner builds a pruner for the search; it returns nil when V
 // contains no INDs over the tableau's relations (pruning would be a
 // no-op).
-func newINDPruner(t *cq.Tableau, v *cc.Set, dm *relation.Database) *indPruner {
+func newINDPruner(s *valuationSearch, v *cc.Set, dm *relation.Database) *indPruner {
 	if v == nil {
 		return nil
 	}
@@ -48,26 +49,27 @@ func newINDPruner(t *cq.Tableau, v *cc.Set, dm *relation.Database) *indPruner {
 		if !ok {
 			continue
 		}
-		chk := indCheck{cols: shape.Cols}
-		if !c.P.IsEmptySet() {
-			chk.allowed = c.P.Eval(dm)
-		}
-		byRel[shape.Rel] = append(byRel[shape.Rel], chk)
+		byRel[shape.Rel] = append(byRel[shape.Rel], indCheck{cols: shape.Cols, allowed: masterIDKeys(c, dm)})
 	}
-	p := &indPruner{byRel: byRel, tplOf: make(map[string][]int)}
+	p := &indPruner{
+		templates: s.templates,
+		checks:    make([][]indCheck, len(s.templates)),
+		groundAt:  make([][]int, len(s.order)),
+	}
 	relevant := false
-	for i, tpl := range t.Templates {
-		p.templates = append(p.templates, tpl)
-		seen := make(map[string]bool)
-		for _, a := range tpl.Args {
-			if a.IsVar && !seen[a.Name] {
-				seen[a.Name] = true
-				p.tplOf[a.Name] = append(p.tplOf[a.Name], i)
-			}
+	for ti, tpl := range s.t.Templates {
+		chks := byRel[tpl.Rel]
+		if len(chks) == 0 {
+			continue
 		}
-		p.tplRemain = append(p.tplRemain, len(seen))
-		if len(byRel[tpl.Rel]) > 0 {
-			relevant = true
+		relevant = true
+		p.checks[ti] = chks
+		last := int32(-1)
+		for _, a := range s.templates[ti] {
+			last = max(last, a.slot)
+		}
+		if last >= 0 {
+			p.groundAt[last] = append(p.groundAt[last], ti)
 		}
 	}
 	if !relevant {
@@ -76,65 +78,40 @@ func newINDPruner(t *cq.Tableau, v *cc.Set, dm *relation.Database) *indPruner {
 	return p
 }
 
-// clone returns a pruner with private backtracking counters. The
-// structural fields — byRel with its Dm-derived allowed-key sets,
-// templates, tplOf — are read-only after construction and shared, so a
-// clone is one small slice copy; each parallel search branch takes one.
-func (p *indPruner) clone() *indPruner {
+// masterIDKeys returns the constraint's master side p(Dm) as id-keys:
+// the constraint's memoized set when the master instance is interned,
+// otherwise the projection interned once here.
+func masterIDKeys(c *cc.Constraint, dm *relation.Database) map[string]bool {
+	if keys, ok := c.MasterIDKeys(dm); ok {
+		return keys
+	}
+	keys := make(map[string]bool)
+	dict := relation.Shared()
+	var ids []int32
+	var kb []byte
+	for _, t := range dm.Instance(c.P.Rel).Project(c.P.Cols) {
+		ids = ids[:0]
+		for _, val := range t {
+			ids = append(ids, dict.Intern(val))
+		}
+		kb = relation.AppendIDKey(kb[:0], ids)
+		keys[string(kb)] = true
+	}
+	return keys
+}
+
+// admit checks every template that became ground with slot i against
+// the INDs of its relation. A nil pruner admits everything.
+func (p *indPruner) admit(i int, mu *valuation) bool {
 	if p == nil {
-		return nil
+		return true
 	}
-	cp := *p
-	cp.tplRemain = append([]int(nil), p.tplRemain...)
-	return &cp
-}
-
-// assign records that variable name was just bound and checks every
-// template that became ground. It reports false when a ground template
-// violates an IND. undo via unassign.
-func (p *indPruner) assign(name string, b query.Binding) bool {
-	ok := true
-	for _, ti := range p.tplOf[name] {
-		p.tplRemain[ti]--
-		if p.tplRemain[ti] == 0 && ok {
-			if !p.checkTemplate(ti, b) {
-				ok = false
+	for _, ti := range p.groundAt[i] {
+		tpl := p.templates[ti]
+		for _, chk := range p.checks[ti] {
+			if !chk.allowed[string(mu.idKey(tpl, chk.cols))] {
+				return false
 			}
-		}
-	}
-	if !ok {
-		// Caller will unassign; remain counters must stay consistent,
-		// so nothing else to do here.
-		return false
-	}
-	return true
-}
-
-// unassign reverses assign's bookkeeping.
-func (p *indPruner) unassign(name string) {
-	for _, ti := range p.tplOf[name] {
-		p.tplRemain[ti]++
-	}
-}
-
-// checkTemplate validates the ground template ti against the INDs of
-// its relation.
-func (p *indPruner) checkTemplate(ti int, b query.Binding) bool {
-	tpl := p.templates[ti]
-	checks := p.byRel[tpl.Rel]
-	if len(checks) == 0 {
-		return true
-	}
-	tup, ok := tpl.Ground(b)
-	if !ok {
-		return true
-	}
-	for _, chk := range checks {
-		if chk.allowed == nil {
-			return false // π(R) ⊆ ∅ forbids any R tuple
-		}
-		if !chk.allowed[tup.Project(chk.cols).Key()] {
-			return false
 		}
 	}
 	return true

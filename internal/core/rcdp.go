@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"repro/internal/cc"
-	"repro/internal/cq"
 	"repro/internal/qlang"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -37,8 +36,8 @@ type RCDPResult struct {
 	Disjunct int
 	// Valuation, when incomplete, is the witness valuation μ of the
 	// disjunct tableau's variables: Extension is μ(T_Disjunct) and
-	// NewTuple is μ(u_Disjunct). It is a private clone — the search
-	// engines reuse their bindings — so callers may keep or mutate it.
+	// NewTuple is μ(u_Disjunct). It is built from the search's id
+	// valuation for this result alone, so callers may keep or mutate it.
 	Valuation query.Binding
 	// Valuations is the number of candidate valuations inspected. It is
 	// a work counter, not part of the verdict: the parallel engine
@@ -164,14 +163,14 @@ func (ck *Checker) RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.D
 	return res, nil
 }
 
-// rcdpPrep is the shared setup of a disjunct search: the compiled
-// tableaux, the per-disjunct valuation searches (nil entries are
+// rcdpPrep is the shared setup of a disjunct search: the per-disjunct
+// valuation searches over the compiled tableaux (nil entries are
 // disjuncts unsatisfiable under domain constraints), the database
-// schemas and the already-answered head set. Built once per check by
+// schemas and the already-answered head set, keyed on the head rows'
+// fixed-width id-keys (relation.AppendIDKey). Built once per check by
 // prepareRCDP and then read-only, it is shared by the sequential
 // engine, the parallel engine and the partition-slice runner alike.
 type rcdpPrep struct {
-	tableaux  []*cq.Tableau
 	searches  []*valuationSearch
 	schemas   map[string]*relation.Schema
 	answerSet map[string]bool
@@ -201,9 +200,17 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 	if err != nil {
 		return nil, err
 	}
+	dict := relation.Shared()
 	answerSet := make(map[string]bool, len(answers))
+	var ids []int32
+	var kb []byte
 	for _, t := range answers {
-		answerSet[t.Key()] = true
+		ids = ids[:0]
+		for _, val := range t {
+			ids = append(ids, dict.Intern(val))
+		}
+		kb = relation.AppendIDKey(kb[:0], ids)
+		answerSet[string(kb)] = true
 	}
 
 	tableaux := q.Tableaux()
@@ -217,29 +224,23 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 	// The inert-position and relevant-value analyses depend only on
 	// (Q, V, D, Dm), not on the disjunct: compute them once here and
 	// share them read-only across disjuncts (and workers).
-	var constrained map[string]map[int]bool
-	var rv *relevantValues
+	opts := searchOpts{naive: ck.Naive}
 	if !ck.Naive {
-		constrained = inertPositions(v)
-		rv = computeRelevantValues(q, v, d, dm)
+		opts.v, opts.dm = v, dm
+		opts.constrained = inertPositions(v)
+		opts.relevant = computeRelevantValues(q, v, d, dm)
 	}
 	searches := make([]*valuationSearch, len(tableaux))
 	for di, t := range tableaux {
-		search, ok := newValuationSearch(u, t, schemas)
+		search, ok := newValuationSearch(u, t, schemas, opts)
 		if !ok {
 			continue // disjunct unsatisfiable under domain constraints
 		}
-		search.naive = ck.Naive
 		search.budget = ck.effectiveValuations()
 		search.gate = gate
-		if !ck.Naive {
-			search.pruner = newINDPruner(t, v, dm)
-			search.applyCollapseFrom(constrained)
-			search.applyRelevantFrom(rv)
-		}
 		searches[di] = search
 	}
-	return &rcdpPrep{tableaux: tableaux, searches: searches, schemas: schemas, answerSet: answerSet}, nil
+	return &rcdpPrep{searches: searches, schemas: schemas, answerSet: answerSet}, nil
 }
 
 // rcdp is RCDP with an optional externally-owned worker pool — so that
@@ -256,46 +257,29 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 	if prep == nil {
 		return &RCDPResult{Complete: true}, nil
 	}
-	tableaux, searches, schemas, answerSet := prep.tableaux, prep.searches, prep.schemas, prep.answerSet
 
 	if workers := ck.effectiveWorkers(); workers > 1 {
 		if pool == nil {
 			pool = newWorkerPool(workers)
 		}
 		if pool != nil {
-			return ck.rcdpParallel(pool, tableaux, searches, d, dm, v, schemas, answerSet, gate)
+			return ck.rcdpParallel(pool, prep, d, dm, v, gate)
 		}
 	}
 
 	res := &RCDPResult{Complete: true}
-	for di, t := range tableaux {
-		search := searches[di]
+	for di, search := range prep.searches {
 		if search == nil {
 			continue
 		}
-		var found *RCDPResult
-		var cbErr error
-		err := search.run(func(b query.Binding) bool {
-			r, err := rcdpWitness(t, di, b, schemas, answerSet, d, dm, v, gate)
-			if err != nil {
-				cbErr = err
-				return false
-			}
-			if r == nil {
-				return true // not a counterexample; keep searching
-			}
-			found = r
-			return false
-		})
-		res.Valuations += search.visited
-		noteDisjunct(di, search.visited, found != nil)
-		if cbErr != nil {
-			return nil, cbErr
-		}
+		claim, visited, err := search.run(prep.witnessFn(di, d, dm, v, gate))
+		res.Valuations += visited
+		noteDisjunct(di, visited, claim != nil)
 		if err != nil {
 			return nil, err
 		}
-		if found != nil {
+		if claim != nil {
+			found := claim.(*RCDPResult)
 			// Valuations counts everything inspected up to and
 			// including this disjunct; later disjuncts are never
 			// searched (see TestRCDPValuationsAccounting).
@@ -306,21 +290,30 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 	return res, nil
 }
 
-// rcdpWitness decides whether the complete valuation b of disjunct di's
-// tableau is a counterexample to completeness, and if so builds the
-// result. It reads only warmed/immutable shared state (answerSet, D,
-// Dm, V, schemas) and allocates fresh output objects, so the parallel
-// engine may call it concurrently.
-func rcdpWitness(t *cq.Tableau, di int, b query.Binding, schemas map[string]*relation.Schema,
-	answerSet map[string]bool, d, dm *relation.Database, v *cc.Set, gate *query.Gate) (*RCDPResult, error) {
-	head, ok := t.HeadTuple(b)
-	if !ok {
-		return nil, nil
+// witnessFn returns disjunct di's leaf callback: it decides whether a
+// complete valuation is a counterexample to completeness and, if so,
+// claims the result (see rcdpWitness).
+func (prep *rcdpPrep) witnessFn(di int, d, dm *relation.Database, v *cc.Set, gate *query.Gate) leafFn {
+	return func(mu *valuation) (any, error) {
+		r, err := rcdpWitness(mu, di, prep.schemas, prep.answerSet, d, dm, v, gate)
+		if r == nil {
+			return nil, err // not a counterexample (or failed); no claim
+		}
+		return r, nil
 	}
-	if answerSet[head.Key()] {
+}
+
+// rcdpWitness decides whether the complete valuation mu of disjunct
+// di's tableau is a counterexample to completeness, and if so builds
+// the result. It reads only warmed/immutable shared state (answerSet,
+// D, Dm, V, schemas) and allocates fresh output objects, so the
+// parallel engine may call it concurrently.
+func rcdpWitness(mu *valuation, di int, schemas map[string]*relation.Schema,
+	answerSet map[string]bool, d, dm *relation.Database, v *cc.Set, gate *query.Gate) (*RCDPResult, error) {
+	if answerSet[string(mu.headKey())] {
 		return nil, nil // already answered; cannot change Q(D)
 	}
-	delta, err := t.Apply(b, schemas)
+	delta, err := mu.apply(schemas)
 	if err != nil {
 		return nil, err
 	}
@@ -335,17 +328,15 @@ func rcdpWitness(t *cq.Tableau, di int, b query.Binding, schemas map[string]*rel
 		// Extension violates V; keep searching. The fragment is dead —
 		// nothing above retains a reference — so recycle its storage
 		// for the next valuation.
-		t.ReleaseApplied(delta)
+		mu.release(delta)
 		return nil, nil
 	}
 	return &RCDPResult{
 		Complete:  false,
 		Extension: delta,
-		NewTuple:  head,
+		NewTuple:  mu.headTuple(),
 		Disjunct:  di,
-		// Clone: the binding is owned by the search engine and is
-		// mutated after this call returns (see parallelFn).
-		Valuation: b.Clone(),
+		Valuation: mu.binding(),
 	}, nil
 }
 
@@ -355,31 +346,18 @@ func rcdpWitness(t *cq.Tableau, di int, b query.Binding, schemas map[string]*rel
 // claims to the smallest (disjunct, branch) key, and per-disjunct
 // budget controllers preserve the MaxValuations semantics. See
 // DESIGN.md, "Parallel search", for the determinism argument.
-func (ck *Checker) rcdpParallel(pool *workerPool, tableaux []*cq.Tableau, searches []*valuationSearch,
-	d, dm *relation.Database, v *cc.Set, schemas map[string]*relation.Schema, answerSet map[string]bool,
+func (ck *Checker) rcdpParallel(pool *workerPool, prep *rcdpPrep, d, dm *relation.Database, v *cc.Set,
 	gate *query.Gate) (*RCDPResult, error) {
 	warmShared(d, dm)
 	ctl := newRaceCtl()
-	budgets := make([]*budgetCtl, len(tableaux))
+	budgets := make([]*budgetCtl, len(prep.searches))
 	var tasks []func()
-	for di, t := range tableaux {
-		search := searches[di]
+	for di, search := range prep.searches {
 		if search == nil {
 			continue
 		}
-		t, di := t, di
 		budgets[di] = newBudgetCtl(ck.effectiveValuations())
-		fn := func(b query.Binding) (any, error) {
-			r, err := rcdpWitness(t, di, b, schemas, answerSet, d, dm, v, gate)
-			if err != nil {
-				return nil, err
-			}
-			if r == nil {
-				return nil, nil
-			}
-			return r, nil
-		}
-		tasks = append(tasks, search.branchTasks(ctl, budgets[di], di, fn)...)
+		tasks = append(tasks, search.branchTasks(ctl, budgets[di], di, prep.witnessFn(di, d, dm, v, gate))...)
 	}
 	pool.run(tasks)
 

@@ -217,18 +217,15 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 	type unboundedDisjunct struct {
 		di     int
 		name   string // the uncovered head variable
-		t      *cq.Tableau
 		search *valuationSearch
 	}
 	var pending []unboundedDisjunct
+	opts := reducedSearchOpts(q, v, dm)
 	for di, t := range tableaux {
-		search, okT := newValuationSearch(u, t, schemas)
+		search, okT := newValuationSearch(u, t, schemas, opts)
 		if !okT {
 			continue // unsatisfiable disjunct
 		}
-		search.pruner = newINDPruner(t, v, dm)
-		search.applyCollapse(v)
-		search.applyRelevant(q, v, nil, dm)
 		search.gate = gate
 		doms := search.doms
 		occ := headVarOccurrences(t)
@@ -258,7 +255,7 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 		// Unbounded disjunct: RCQ is nonempty only if no valid valuation
 		// satisfies V. (A disjunct with no valid valuation at all can
 		// never produce an answer in a partially closed database.)
-		pending = append(pending, unboundedDisjunct{di: di, name: unbounded, t: t, search: search})
+		pending = append(pending, unboundedDisjunct{di: di, name: unbounded, search: search})
 	}
 
 	noResult := func(di int, name string, witness query.Binding) *RCQPResult {
@@ -269,37 +266,37 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 		}
 	}
 
+	// A disjunct's witness is a valuation whose instantiation satisfies
+	// V; the claim is its Binding, built only for the witness.
+	witnessFn := func(mu *valuation) (any, error) {
+		delta, err := mu.apply(schemas)
+		if err != nil {
+			return nil, nil // skip, keep searching
+		}
+		sat, err := v.SatisfiedGate(delta, dm, gate)
+		if err != nil {
+			if isGovernErr(err) {
+				return nil, err // stop the search
+			}
+			return nil, nil
+		}
+		if !sat {
+			mu.release(delta)
+			return nil, nil
+		}
+		return mu.binding(), nil
+	}
 	if wp != nil && len(pending) > 0 {
 		// Parallel path: the branches of every unbounded disjunct race on
 		// one raceCtl; the smallest (disjunct, branch) claim is exactly
-		// the witness the sequential loop above would have found first.
+		// the witness the sequential loop below would have found first.
 		warmShared(dm)
 		ctl := newRaceCtl()
 		names := make(map[int]string, len(pending))
 		var tasks []func()
 		for _, ud := range pending {
-			ud := ud
 			names[ud.di] = ud.name
-			fn := func(b query.Binding) (any, error) {
-				delta, err := ud.t.Apply(b, schemas)
-				if err != nil {
-					return nil, nil // mirror sequential: skip, keep searching
-				}
-				sat, err := v.SatisfiedGate(delta, dm, gate)
-				if err != nil {
-					if isGovernErr(err) {
-						return nil, err // stop the whole race
-					}
-					return nil, nil
-				}
-				if !sat {
-					return nil, nil
-				}
-				// The binding is worker-owned and unwound after return:
-				// clone before claiming.
-				return b.Clone(), nil
-			}
-			tasks = append(tasks, ud.search.branchTasks(ctl, newBudgetCtl(0), ud.di, fn)...)
+			tasks = append(tasks, ud.search.branchTasks(ctl, newBudgetCtl(0), ud.di, witnessFn)...)
 		}
 		wp.run(tasks)
 		val, key, err := ctl.result()
@@ -312,35 +309,12 @@ func (cfg QPChecker) rcqpINDs(q qlang.Query, dm *relation.Database, v *cc.Set, s
 		}
 	} else {
 		for _, ud := range pending {
-			var witness query.Binding
-			var gerr error
-			err := ud.search.run(func(b query.Binding) bool {
-				delta, err := ud.t.Apply(b, schemas)
-				if err != nil {
-					return true
-				}
-				sat, err := v.SatisfiedGate(delta, dm, gate)
-				if err != nil {
-					if isGovernErr(err) {
-						gerr = err
-						return false
-					}
-					return true
-				}
-				if !sat {
-					return true
-				}
-				witness = b.Clone()
-				return false
-			})
-			if gerr != nil {
-				return nil, gerr
-			}
+			claim, _, err := ud.search.run(witnessFn)
 			if err != nil {
 				return nil, err
 			}
-			if witness != nil {
-				return noResult(ud.di, ud.name, witness), nil
+			if claim != nil {
+				return noResult(ud.di, ud.name, claim.(query.Binding)), nil
 			}
 		}
 	}
@@ -765,20 +739,23 @@ func enumerateInstantiations(u *Universe, q qlang.Query, v *cc.Set, dm *relation
 	if t == nil {
 		return nil
 	}
-	search, ok := newValuationSearch(u, t, schemas)
+	search, ok := newValuationSearch(u, t, schemas, reducedSearchOpts(q, v, dm))
 	if !ok {
 		return nil
 	}
-	search.pruner = newINDPruner(t, v, dm)
-	search.applyCollapse(v)
-	search.applyRelevant(q, v, nil, dm)
 	search.gate = gv.gateOf()
-	return search.run(func(b query.Binding) bool {
-		db, err := t.Apply(b, schemas)
-		if err != nil {
-			return true
+	_, _, err := search.run(func(mu *valuation) (any, error) {
+		if db, err := mu.apply(schemas); err == nil {
+			emit(db)
 		}
-		emit(db)
-		return true
+		return nil, nil
 	})
+	return err
+}
+
+// reducedSearchOpts enables every exact search reduction of the RCQP
+// searches — IND pruning, inert-variable collapsing and the
+// relevant-value restriction over Dm alone (no database is given).
+func reducedSearchOpts(q qlang.Query, v *cc.Set, dm *relation.Database) searchOpts {
+	return searchOpts{v: v, dm: dm, constrained: inertPositions(v), relevant: computeRelevantValues(q, v, nil, dm)}
 }

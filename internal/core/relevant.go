@@ -278,30 +278,3 @@ func mergeSortedValues(a, b []relation.Value) []relation.Value {
 	out = append(out, b[j:]...)
 	return out
 }
-
-// applyRelevant installs restricted candidate sets for every
-// non-collapsed, infinite-domain variable of the search.
-func (s *valuationSearch) applyRelevant(q interface{ Constants() []relation.Value }, v *cc.Set, d, dm *relation.Database) {
-	s.applyRelevantFrom(computeRelevantValues(q, v, d, dm))
-}
-
-// applyRelevantFrom is applyRelevant with the linked-position analysis
-// precomputed. The analysis depends only on (Q, V, D, Dm) — not on the
-// disjunct — so multi-disjunct callers compute it once; the installed
-// candidate slices are read-only afterwards and safe to share across
-// parallel workers.
-func (s *valuationSearch) applyRelevantFrom(rv *relevantValues) {
-	occ := allVarOccurrences(s.t)
-	if s.candidates == nil {
-		s.candidates = make(map[string][]relation.Value, len(s.t.Vars))
-	}
-	for _, name := range s.t.Vars {
-		if _, isCollapsed := s.collapsed[name]; isCollapsed {
-			continue
-		}
-		if s.doms[name].Kind == relation.Finite {
-			continue
-		}
-		s.candidates[name] = rv.candidatesFor(occ[name])
-	}
-}

@@ -62,6 +62,8 @@ type Universe struct {
 	Fresh []relation.Value
 
 	freshSet map[relation.Value]bool
+	// freshIDs are the shared-dictionary ids of Fresh, in pool order.
+	freshIDs []int32
 }
 
 // NewUniverse builds the universe for the given problem components.
@@ -105,6 +107,7 @@ func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int)
 		u.Fresh = append(u.Fresh, cand)
 		u.freshSet[cand] = true
 	}
+	u.freshIDs = internAll(u.Fresh)
 	return u
 }
 

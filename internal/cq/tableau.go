@@ -3,7 +3,6 @@ package cq
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -38,13 +37,6 @@ type Tableau struct {
 	// (ieval.go); nil on hand-built tableaux, which then evaluate on
 	// the legacy string path.
 	ip *iplan
-
-	// applyPool recycles the database fragments Apply builds: the
-	// decision procedures instantiate the templates once per candidate
-	// valuation and discard the result almost every time, so callers
-	// that know a fragment is dead hand it back via ReleaseApplied and
-	// the next Apply refills it in place.
-	applyPool sync.Pool
 }
 
 // ErrUnsatisfiable is returned by BuildTableau for queries whose
@@ -215,6 +207,54 @@ func (t *Tableau) AsCQ() *CQ {
 // a database fragment μ(T_Q) over the given schemas. Unbound variables
 // cause an error.
 func (t *Tableau) Apply(b query.Binding, schemas map[string]*relation.Schema) (*relation.Database, error) {
+	db, err := t.fragment(schemas, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range t.Templates {
+		tup, ok := a.Ground(b)
+		if !ok {
+			return nil, fmt.Errorf("cq: binding does not cover template %s", a)
+		}
+		if err := db.Add(a.Rel, tup); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+// ApplyIDs is Apply for a valuation already in id space: rows[i] is the
+// ground row of template i as ids of the shared dictionary
+// (relation.Shared). The rows are written straight into the fragment's
+// columns — no Binding, no value tuple, no dictionary interning — and
+// a legacy-storage fragment receives the values the ids denote. The
+// rows are copied, so callers may reuse them.
+//
+// reuse, when non-nil, is a fragment an earlier Apply/ApplyIDs of this
+// tableau returned and the caller is done with: the decision
+// procedures instantiate the templates once per candidate valuation
+// and discard the result almost every time, so its storage is emptied
+// and refilled in place when it matches (same relations, schemas and
+// storage mode). No reference into it may survive the call.
+func (t *Tableau) ApplyIDs(rows [][]int32, schemas map[string]*relation.Schema, reuse *relation.Database) (*relation.Database, error) {
+	if len(rows) != len(t.Templates) {
+		return nil, fmt.Errorf("cq: %d id rows for %d templates", len(rows), len(t.Templates))
+	}
+	db, err := t.fragment(schemas, reuse)
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range t.Templates {
+		if err := db.Instance(a.Rel).AddIDs(rows[i]); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+// fragment returns an empty database over the templates' relations:
+// reuse emptied in place when it matches, otherwise a new one.
+func (t *Tableau) fragment(schemas map[string]*relation.Schema, reuse *relation.Database) (*relation.Database, error) {
 	ss := make([]*relation.Schema, 0, len(t.Templates))
 outer:
 	for _, a := range t.Templates {
@@ -229,53 +269,28 @@ outer:
 		}
 		ss = append(ss, s)
 	}
-	db := t.pooledDatabase(ss)
-	if db == nil {
-		db = relation.NewDatabase(ss...)
+	if reuse != nil && fragmentMatches(reuse, ss) {
+		reuse.Reset()
+		return reuse, nil
 	}
-	for _, a := range t.Templates {
-		tup, ok := a.Ground(b)
-		if !ok {
-			return nil, fmt.Errorf("cq: binding does not cover template %s", a)
-		}
-		if err := db.Add(a.Rel, tup); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
+	return relation.NewDatabase(ss...), nil
 }
 
-// pooledDatabase returns a recycled, emptied fragment matching the
-// schema list exactly — same relations, same schema objects, same
-// storage mode as a fresh build would use — or nil when the pool has
-// nothing usable (the mismatch case only arises when one tableau is
-// applied under different schema maps, or across a SetInterning flip).
-func (t *Tableau) pooledDatabase(ss []*relation.Schema) *relation.Database {
-	db, _ := t.applyPool.Get().(*relation.Database)
-	if db == nil {
-		return nil
-	}
+// fragmentMatches reports whether db has exactly the schema list's
+// relations, with the same schema objects and the storage mode a fresh
+// build would use (a mismatch only arises when one tableau is applied
+// under different schema maps, or across a SetInterning flip).
+func fragmentMatches(db *relation.Database, ss []*relation.Schema) bool {
 	if len(db.Relations()) != len(ss) {
-		return nil
+		return false
 	}
 	for _, s := range ss {
 		in := db.Instance(s.Name)
 		if in == nil || in.Schema != s || in.Interned() != relation.InterningEnabled() {
-			return nil
+			return false
 		}
 	}
-	db.Reset()
-	return db
-}
-
-// ReleaseApplied hands a database obtained from Apply back to the
-// tableau's scratch pool. Callers must be done with every reference
-// into it — instances, tuples, index views — because the next Apply
-// reuses its storage in place.
-func (t *Tableau) ReleaseApplied(db *relation.Database) {
-	if db != nil {
-		t.applyPool.Put(db)
-	}
+	return true
 }
 
 // HeadTuple instantiates the output summary u_Q under a binding.

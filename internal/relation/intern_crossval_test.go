@@ -154,3 +154,36 @@ func TestDatabaseInternedMatchesLegacy(t *testing.T) {
 		}
 	}
 }
+
+// TestAddIDsMatchesAdd inserts the same tuples by value (Add) and by
+// shared-dictionary id (AddIDs) in both storage modes: the instances
+// must hold the same tuples, duplicates must be no-ops, and the
+// validation errors must be Add's.
+func TestAddIDsMatchesAdd(t *testing.T) {
+	prev := SetInterning(true)
+	t.Cleanup(func() { SetInterning(prev) })
+	s := NewSchema("R", Attr("a"), FinAttr("f", "0", "1"))
+	rows := []Tuple{T("u", "0"), T("v", "1"), T("u", "0"), T("w", "1")}
+	for _, interned := range []bool{true, false} {
+		SetInterning(interned)
+		byVal, byID := NewInstance(s), NewInstance(s)
+		for _, r := range rows {
+			byVal.MustAdd(r)
+			ids := []int32{Shared().Intern(r[0]), Shared().Intern(r[1])}
+			if err := byID.AddIDs(ids); err != nil {
+				t.Fatalf("interned=%v: AddIDs(%v): %v", interned, r, err)
+			}
+		}
+		if !byID.Equal(byVal) || byID.Len() != 3 {
+			t.Fatalf("interned=%v: AddIDs gave %v, Add gave %v", interned, byID, byVal)
+		}
+		bad := []int32{Shared().Intern("u"), Shared().Intern("2")}
+		errID, errVal := byID.AddIDs(bad), byVal.Add(T("u", "2"))
+		if errID == nil || errVal == nil || errID.Error() != errVal.Error() {
+			t.Fatalf("interned=%v: finite-domain error %v, Add says %v", interned, errID, errVal)
+		}
+		if err := byID.AddIDs(bad[:1]); err == nil {
+			t.Fatalf("interned=%v: arity mismatch accepted", interned)
+		}
+	}
+}

@@ -395,6 +395,28 @@ func (in *Instance) Add(t Tuple) error {
 	return nil
 }
 
+// AddIDs is Add for a tuple given as ids of the shared dictionary
+// (Shared). It validates exactly what Add validates; an interned
+// instance appends the ids as a row without touching their values,
+// and a legacy instance inserts the tuple the ids denote.
+func (in *Instance) AddIDs(ids []int32) error {
+	if in.dict == nil || len(ids) != in.Schema.Arity() {
+		t := make(Tuple, len(ids))
+		for i, id := range ids {
+			t[i] = shared.Value(id)
+		}
+		return in.Add(t)
+	}
+	for i, a := range in.Schema.Attrs {
+		if a.Domain.Kind == Finite && !a.Domain.Contains(in.dict.Value(ids[i])) {
+			return fmt.Errorf("relation: %s.%s: value %q outside finite domain %s",
+				in.Schema.Name, a.Name, in.dict.Value(ids[i]), a.Domain)
+		}
+	}
+	in.addRow(ids)
+	return nil
+}
+
 // addInterned interns the tuple's values and appends a row unless the
 // id-key already exists. The id and key scratch buffers live on the
 // stack for ordinary arities, so a duplicate insert allocates nothing.
@@ -407,6 +429,11 @@ func (in *Instance) addInterned(t Tuple) {
 	for _, v := range t {
 		ids = append(ids, in.dict.Intern(v))
 	}
+	in.addRow(ids)
+}
+
+// addRow appends the id row unless it is already present.
+func (in *Instance) addRow(ids []int32) {
 	if in.rows == nil {
 		if in.rowOf(ids) >= 0 {
 			return
