@@ -64,11 +64,15 @@ func FormatFact(rel string, t relation.Tuple) string {
 	return rel + "(" + strings.Join(parts, ", ") + ")."
 }
 
-// FormatQuery renders a parsed query back into ParseQuery's grammar:
-// CQs and UCQs as rule lines, datalog programs as an "output" header
-// plus rules. It errors for query forms the grammar has no syntax for
-// (FO, ∃FO⁺) and for constant values no quoting can represent (a value
-// containing a line break, or both quote characters).
+// FormatQuery renders a query back into ParseQuery's grammar: CQs and
+// UCQs as rule lines, datalog programs as an "output" header plus
+// rules. Variables keep their names when the parser reads them as
+// variables; others — Go-built lower-case names, which would re-parse
+// as constants — are renamed per rule (see ruleVarNames), so the text
+// denotes the same query. It errors for query forms the grammar has no
+// syntax for (FO, ∃FO⁺) and for constant values no quoting can
+// represent (a value containing a line break, or both quote
+// characters).
 func FormatQuery(q qlang.Query) (string, error) {
 	if c, ok := qlang.AsCQ(q); ok {
 		line, err := formatRule(c.Name, c.Head, c.Atoms, c.Conds)
@@ -95,7 +99,17 @@ func FormatQuery(q qlang.Query) (string, error) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "output %s\n", p.Output)
 		for _, r := range p.Rules {
-			head, err := formatAtom(r.Head)
+			var atoms []query.RelAtom
+			var conds []query.EqAtom
+			for _, l := range r.Body {
+				if l.Atom != nil {
+					atoms = append(atoms, *l.Atom)
+				} else {
+					conds = append(conds, *l.Cond)
+				}
+			}
+			names := ruleVarNames(r.Head.Args, atoms, conds)
+			head, err := formatAtom(r.Head, names)
 			if err != nil {
 				return "", err
 			}
@@ -103,9 +117,9 @@ func FormatQuery(q qlang.Query) (string, error) {
 			for i, l := range r.Body {
 				var err error
 				if l.Atom != nil {
-					parts[i], err = formatAtom(*l.Atom)
+					parts[i], err = formatAtom(*l.Atom, names)
 				} else {
-					parts[i], err = formatCond(*l.Cond)
+					parts[i], err = formatCond(*l.Cond, names)
 				}
 				if err != nil {
 					return "", err
@@ -119,8 +133,8 @@ func FormatQuery(q qlang.Query) (string, error) {
 }
 
 // FormatConstraints renders a constraint set back into
-// ParseConstraints' grammar. Reverse containments and non-CQ bodies
-// have no syntax and error.
+// ParseConstraints' grammar, naming variables as FormatQuery does.
+// Reverse containments and non-CQ bodies have no syntax and error.
 func FormatConstraints(s *cc.Set) (string, error) {
 	var b strings.Builder
 	for _, c := range s.Constraints {
@@ -150,23 +164,24 @@ func FormatConstraints(s *cc.Set) (string, error) {
 
 // formatRule renders one "Name(head) :- body" line.
 func formatRule(name string, head []query.Term, atoms []query.RelAtom, conds []query.EqAtom) (string, error) {
+	names := ruleVarNames(head, atoms, conds)
 	args := make([]string, len(head))
 	for i, t := range head {
 		var err error
-		if args[i], err = formatTerm(t); err != nil {
+		if args[i], err = formatTerm(t, names); err != nil {
 			return "", err
 		}
 	}
 	parts := make([]string, 0, len(atoms)+len(conds))
 	for _, a := range atoms {
-		s, err := formatAtom(a)
+		s, err := formatAtom(a, names)
 		if err != nil {
 			return "", err
 		}
 		parts = append(parts, s)
 	}
 	for _, c := range conds {
-		s, err := formatCond(c)
+		s, err := formatCond(c, names)
 		if err != nil {
 			return "", err
 		}
@@ -175,23 +190,105 @@ func formatRule(name string, head []query.Term, atoms []query.RelAtom, conds []q
 	return fmt.Sprintf("%s(%s) :- %s", name, strings.Join(args, ", "), strings.Join(parts, ", ")), nil
 }
 
-func formatAtom(a query.RelAtom) (string, error) {
+// ruleVarNames assigns every variable of one rule the name it is
+// written under. A name the parser reads back as a variable (initial
+// upper-case letter or underscore, identifier characters only) is
+// kept. Any other name is upper-cased — "x1" becomes "X1", a name not
+// starting with a lower-case letter gets a "V" prefix, characters the
+// lexer cannot read become "_" — and suffixed "_2", "_3", … until it
+// collides with no other variable of the rule. Variables are
+// rule-scoped, so one map serves the head, the body and the
+// (in)equalities alike.
+func ruleVarNames(head []query.Term, atoms []query.RelAtom, conds []query.EqAtom) map[string]string {
+	var order []string
+	seen := map[string]bool{}
+	note := func(t query.Term) {
+		if t.IsVar && !seen[t.Name] {
+			seen[t.Name] = true
+			order = append(order, t.Name)
+		}
+	}
+	for _, t := range head {
+		note(t)
+	}
+	for _, a := range atoms {
+		for _, t := range a.Args {
+			note(t)
+		}
+	}
+	for _, c := range conds {
+		note(c.L)
+		note(c.R)
+	}
+	names := make(map[string]string, len(order))
+	taken := map[string]bool{}
+	for _, n := range order {
+		if isVarName(n) && isIdent(n) {
+			names[n] = n
+			taken[n] = true
+		}
+	}
+	for _, n := range order {
+		if _, kept := names[n]; kept {
+			continue
+		}
+		base := upperVarName(n)
+		cand := base
+		for k := 2; taken[cand]; k++ {
+			cand = base + "_" + strconv.Itoa(k)
+		}
+		names[n] = cand
+		taken[cand] = true
+	}
+	return names
+}
+
+// upperVarName maps a name onto one the parser reads as a variable.
+func upperVarName(n string) string {
+	var b strings.Builder
+	switch {
+	case n != "" && n[0] >= 'a' && n[0] <= 'z':
+		b.WriteByte(n[0] - 'a' + 'A')
+		n = n[1:]
+	default:
+		b.WriteByte('V')
+	}
+	for _, r := range n {
+		if !isIdentRune(r) {
+			r = '_'
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+// isIdent reports whether the lexer reads s as one identifier.
+func isIdent(s string) bool {
+	for _, r := range s {
+		if !isIdentRune(r) {
+			return false
+		}
+	}
+	return s != ""
+}
+
+func formatAtom(a query.RelAtom, names map[string]string) (string, error) {
 	parts := make([]string, len(a.Args))
 	for i, t := range a.Args {
 		var err error
-		if parts[i], err = formatTerm(t); err != nil {
+		if parts[i], err = formatTerm(t, names); err != nil {
 			return "", err
 		}
 	}
 	return a.Rel + "(" + strings.Join(parts, ", ") + ")", nil
 }
 
-func formatCond(e query.EqAtom) (string, error) {
-	l, err := formatTerm(e.L)
+func formatCond(e query.EqAtom, names map[string]string) (string, error) {
+	l, err := formatTerm(e.L, names)
 	if err != nil {
 		return "", err
 	}
-	r, err := formatTerm(e.R)
+	r, err := formatTerm(e.R, names)
 	if err != nil {
 		return "", err
 	}
@@ -202,12 +299,13 @@ func formatCond(e query.EqAtom) (string, error) {
 	return l + op + r, nil
 }
 
-// formatTerm renders a term in query position: variables bare,
-// constants always quoted (a bare identifier constant starting with an
-// upper-case letter would re-parse as a variable).
-func formatTerm(t query.Term) (string, error) {
+// formatTerm renders a term in query position: variables bare under
+// their rule names (ruleVarNames), constants always quoted (a bare
+// identifier constant starting with an upper-case letter would
+// re-parse as a variable).
+func formatTerm(t query.Term, names map[string]string) (string, error) {
 	if t.IsVar {
-		return t.Name, nil
+		return names[t.Name], nil
 	}
 	s := string(t.Val)
 	if strings.ContainsRune(s, '\n') {
