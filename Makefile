@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-smoke bench-diff bench-workers fmt-check vuln fuzz-smoke cover-check doc-sync examples-build server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
+.PHONY: ci build vet test race bench bench-smoke bench-diff bench-workers fmt-check vuln fuzz-smoke cover-check doc-sync examples-build server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke servebench-smoke
 
-ci: fmt-check vet build examples-build test race bench-smoke bench-diff cover-check doc-sync fuzz-smoke vuln server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke
+ci: fmt-check vet build examples-build test race bench-smoke bench-diff cover-check doc-sync fuzz-smoke vuln server-smoke cluster-smoke mutate-smoke approx-smoke mine-smoke servebench-smoke
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,14 @@ approx-smoke:
 # of the relmine pipeline end to end.
 mine-smoke:
 	sh scripts/mine_smoke.sh
+
+# Benchmark self-tests: servebench is its own module (go build ./... and
+# go test ./... skip it), so vet it and run its short tests here. They
+# check the request text against the Go-built objects and every oracle
+# the benchmark relies on, so a core change that breaks them fails CI
+# before the benchmark pipeline runs.
+servebench-smoke:
+	cd servebench && $(GO) vet . && $(GO) test -short .
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
