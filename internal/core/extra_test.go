@@ -19,9 +19,14 @@ func TestUniverse(t *testing.T) {
 	if len(u.Fresh) != 3 {
 		t.Fatalf("fresh pool: %v", u.Fresh)
 	}
-	for _, f := range u.Fresh {
-		if !u.IsFresh(f) {
-			t.Fatal("IsFresh wrong")
+	for i, f := range u.Fresh {
+		for _, c := range u.Consts {
+			if f == c {
+				t.Fatalf("fresh value %q collides with a constant", f)
+			}
+		}
+		if relation.Shared().Value(u.freshIDs[i]) != f {
+			t.Fatalf("fresh id %d does not denote %q", u.freshIDs[i], f)
 		}
 	}
 	// Constants: e0 (query), e0/s/c1 (D), m1 (Dm).

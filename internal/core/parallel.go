@@ -159,17 +159,13 @@ func (s *valuationSearch) branchTasks(ctl *raceCtl, bud *budgetCtl, disjunct int
 				return
 			}
 			w := &searchWorker{s: s, mu: s.newValuation(), budget: bud, fn: fn, ctl: ctl, key: key}
-			start, nf := 0, 0
-			if first != unbound {
-				if !w.assign(0, first) {
-					return
-				}
-				start = 1
-				if len(s.fresh) > 0 && first == s.fresh[0] {
-					nf = 1
-				}
+			var err error
+			if first == unbound {
+				err = w.rec(0, 0)
+			} else {
+				err = w.step(0, first, 0)
 			}
-			switch err := w.rec(start, nf); err {
+			switch err {
 			case nil, errStop, errAbandoned, errBudgetStop:
 				// Branch outcome (if any) is recorded in ctl.
 			default:

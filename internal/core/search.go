@@ -111,9 +111,10 @@ type slotDiseq struct{ l, r slotTerm }
 // holds reports whether the inequality holds; both sides must be bound.
 func (d slotDiseq) holds(ids []int32) bool { return d.l.resolve(ids) != d.r.resolve(ids) }
 
-// searchOpts selects the exact reductions a valuation search applies.
-// Nil fields disable the corresponding reduction; naive disables all of
-// them (see valuationSearch.naive).
+// searchOpts selects the exact reductions a valuation search applies;
+// a nil field disables its reduction. naive additionally turns off the
+// slot-by-slot inequality checks and fresh-value symmetry breaking
+// (see valuationSearch.naive); naive callers leave the fields nil.
 type searchOpts struct {
 	naive bool
 	// v and dm feed the IND pruner.
@@ -191,9 +192,7 @@ func newValuationSearch(u *Universe, t *cq.Tableau, schemas map[string]*relation
 		s.diseqs = append(s.diseqs, d)
 	}
 	s.compileCandidates(u, opts)
-	if !opts.naive {
-		s.pruner = newINDPruner(s, opts.v, opts.dm)
-	}
+	s.pruner = newINDPruner(s, opts.v, opts.dm)
 	return s, true
 }
 
@@ -204,47 +203,39 @@ func newValuationSearch(u *Universe, t *cq.Tableau, schemas map[string]*relation
 // analysis — followed by the whole fresh pool.
 func (s *valuationSearch) compileCandidates(u *Universe, opts searchOpts) {
 	var collapsed map[string]int32
-	if !opts.naive && opts.constrained != nil {
+	if opts.constrained != nil {
 		collapsed = collapseTargets(collapsibleVars(s.t, opts.constrained, s.doms), u.freshIDs)
 	}
 	var occ map[string][]varPosition
-	if !opts.naive && opts.relevant != nil {
+	if opts.relevant != nil {
 		occ = allVarOccurrences(s.t)
 	}
-	var consts []int32
 	for i, name := range s.order {
 		if id, ok := collapsed[name]; ok {
 			s.cands[i], s.fixed[i] = []int32{id}, 1
 			continue
 		}
 		if dom := s.doms[name]; dom.Kind == relation.Finite {
-			s.cands[i] = internAll(dom.Values)
+			s.cands[i] = appendIDs(nil, dom.Values)
 			s.fixed[i] = len(s.cands[i])
 			continue
 		}
-		var base []int32
+		base := u.Consts
 		if occ != nil {
-			base = internAll(opts.relevant.candidatesFor(occ[name]))
-		} else {
-			if consts == nil {
-				consts = internAll(u.Consts)
-			}
-			base = consts
+			base = opts.relevant.candidatesFor(occ[name])
 		}
-		c := make([]int32, 0, len(base)+len(u.freshIDs))
-		s.cands[i] = append(append(c, base...), u.freshIDs...)
-		s.fixed[i] = len(base)
+		c := appendIDs(make([]int32, 0, len(base)+len(u.freshIDs)), base)
+		s.cands[i], s.fixed[i] = append(c, u.freshIDs...), len(base)
 	}
 }
 
-// internAll returns the shared-dictionary ids of vals, in order.
-func internAll(vals []relation.Value) []int32 {
+// appendIDs appends the shared-dictionary ids of vals to dst.
+func appendIDs(dst []int32, vals []relation.Value) []int32 {
 	dict := relation.Shared()
-	out := make([]int32, len(vals))
-	for i, v := range vals {
-		out[i] = dict.Intern(v)
+	for _, v := range vals {
+		dst = append(dst, dict.Intern(v))
 	}
-	return out
+	return dst
 }
 
 // candidates returns the ids tried for slot i at symmetry level
@@ -410,20 +401,26 @@ func (w *searchWorker) rec(i, freshUsed int) error {
 		return w.leaf()
 	}
 	for _, id := range s.candidates(i, freshUsed) {
-		if !w.assign(i, id) {
-			continue
-		}
-		nf := freshUsed
-		if freshUsed < len(s.fresh) && id == s.fresh[freshUsed] {
-			nf++
-		}
-		if err := w.rec(i+1, nf); err != nil {
-			w.mu.ids[i] = unbound
+		if err := w.step(i, id, freshUsed); err != nil {
 			return err
 		}
 	}
-	w.mu.ids[i] = unbound
 	return nil
+}
+
+// step assigns id to slot i and, when the assignment is admitted,
+// searches the slots after it; a fresh value first used here raises the
+// symmetry level.
+func (w *searchWorker) step(i int, id int32, freshUsed int) error {
+	var err error
+	if w.assign(i, id) {
+		if fresh := w.s.fresh; freshUsed < len(fresh) && id == fresh[freshUsed] {
+			freshUsed++
+		}
+		err = w.rec(i+1, freshUsed)
+	}
+	w.mu.ids[i] = unbound
+	return err
 }
 
 // leaf handles a complete valuation: charge the budget, check the

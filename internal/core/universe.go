@@ -60,8 +60,6 @@ type Universe struct {
 	Consts []relation.Value
 	// Fresh are the New values, disjoint from Consts.
 	Fresh []relation.Value
-
-	freshSet map[relation.Value]bool
 	// freshIDs are the shared-dictionary ids of Fresh, in pool order.
 	freshIDs []int32
 }
@@ -70,7 +68,7 @@ type Universe struct {
 // nFresh controls how many New values are created; pass the maximum
 // number of variables over the tableaux that will be instantiated.
 func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int) *Universe {
-	u := &Universe{freshSet: make(map[relation.Value]bool, nFresh)}
+	u := &Universe{}
 	isConst := internedConsts(u, d, dm, q, v)
 	if isConst == nil {
 		seen := make(map[relation.Value]bool)
@@ -105,9 +103,8 @@ func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int)
 			continue
 		}
 		u.Fresh = append(u.Fresh, cand)
-		u.freshSet[cand] = true
 	}
-	u.freshIDs = internAll(u.Fresh)
+	u.freshIDs = appendIDs(nil, u.Fresh)
 	return u
 }
 
@@ -153,9 +150,6 @@ func internedConsts(u *Universe, d, dm *relation.Database, q qlang.Query, v *cc.
 		return ok && relation.HasIDBit(set, id)
 	}
 }
-
-// IsFresh reports whether a value is one of the New values.
-func (u *Universe) IsFresh(v relation.Value) bool { return u.freshSet[v] }
 
 // AdomFor returns the active domain adom(y) for a variable whose
 // admissible attribute domain is dom: the full finite domain d_f for
