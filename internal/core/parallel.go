@@ -13,11 +13,12 @@ import (
 //
 // The top-level slot's candidate branches of a valuationSearch are
 // fanned out to a workerPool; every branch runs the same backtracking
-// recursion as the sequential engine (searchWorker.rec). Determinism does not come from
-// scheduling (there is none to rely on) but from *keys*: each branch is
-// tagged with a packed (disjunct, branch-index) key, a raceCtl resolves
-// competing witness claims to the lexicographically smallest key, and a
-// branch whose key is already beaten abandons at its next search node.
+// recursion as the sequential engine (searchWorker.rec). Determinism
+// does not come from scheduling (there is none to rely on) but from
+// *keys*: each branch is tagged with a packed (disjunct, branch-index)
+// key, a raceCtl resolves competing witness claims to the
+// lexicographically smallest key, and a branch whose key is already
+// beaten abandons at its next search node.
 // Within one branch the recursion is sequential, so the claim it makes
 // is the DFS-first witness of that branch — together the winning claim
 // is exactly the witness the sequential engine would return: lowest

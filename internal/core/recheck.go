@@ -103,8 +103,8 @@ func (dl *Delta) WitnessReusable(q qlang.Query, d, dm *relation.Database, v *cc.
 // without mutating anything: interned databases are probed through
 // their id bitsets and non-mutating dictionary lookups (never Intern,
 // which would grow the dictionary as a side effect), with the Q/V
-// constants held as strings; legacy instances fall back to the string
-// active domain.
+// constants held as strings; legacy instances fall back to a string
+// set of their values (membership only, so no sorted active domain).
 type adomProbe struct {
 	bits   []uint64
 	consts map[relation.Value]bool
@@ -129,9 +129,14 @@ func newAdomProbe(d, dm *relation.Database, q qlang.Query, v *cc.Set) *adomProbe
 		}
 	}
 	for _, db := range []*relation.Database{d, dm} {
-		if db != nil {
-			for _, val := range db.ActiveDomain() {
-				p.consts[val] = true
+		if db == nil {
+			continue
+		}
+		for _, rel := range db.Relations() {
+			for _, t := range db.Instance(rel).Tuples() {
+				for _, val := range t {
+					p.consts[val] = true
+				}
 			}
 		}
 	}
