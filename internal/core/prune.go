@@ -85,11 +85,18 @@ func masterIDKeys(c *cc.Constraint, dm *relation.Database) map[string]bool {
 	if keys, ok := c.MasterIDKeys(dm); ok {
 		return keys
 	}
-	keys := make(map[string]bool)
+	return idKeySet(dm.Instance(c.P.Rel).Project(c.P.Cols))
+}
+
+// idKeySet returns the set of the tuples' fixed-width id-keys
+// (relation.AppendIDKey over the shared dictionary), interning their
+// values.
+func idKeySet(tuples []relation.Tuple) map[string]bool {
 	dict := relation.Shared()
+	keys := make(map[string]bool, len(tuples))
 	var ids []int32
 	var kb []byte
-	for _, t := range dm.Instance(c.P.Rel).Project(c.P.Cols) {
+	for _, t := range tuples {
 		ids = ids[:0]
 		for _, val := range t {
 			ids = append(ids, dict.Intern(val))

@@ -200,18 +200,7 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 	if err != nil {
 		return nil, err
 	}
-	dict := relation.Shared()
-	answerSet := make(map[string]bool, len(answers))
-	var ids []int32
-	var kb []byte
-	for _, t := range answers {
-		ids = ids[:0]
-		for _, val := range t {
-			ids = append(ids, dict.Intern(val))
-		}
-		kb = relation.AppendIDKey(kb[:0], ids)
-		answerSet[string(kb)] = true
-	}
+	answerSet := idKeySet(answers)
 
 	tableaux := q.Tableaux()
 	if len(tableaux) == 0 {
