@@ -215,6 +215,26 @@ func BenchmarkRCQP_EFE(b *testing.B) {
 	}
 }
 
+// BenchmarkCRMCheckFreshD is the per-request shape of a catalog-backed
+// relserve check on CRM-400: parse D from fact text, then one
+// Workers=1 RCDP check against the resident Dm and V (see crmFreshD).
+func BenchmarkCRMCheckFreshD(b *testing.B) {
+	c := newCRMFreshD()
+	for _, tc := range []struct {
+		name string
+		q    qlang.Query
+	}{{"Q0", c.q0}, {"Q2", c.q2}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.check(tc.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRCQP_CRM measures the certificate search on the MDM
 // workload (the Section 2.3 paradigms).
 func BenchmarkRCQP_CRM(b *testing.B) {

@@ -277,64 +277,11 @@ func (c *Constraint) SatisfiedDelta(d, delta, dm *relation.Database) (bool, erro
 }
 
 // SatisfiedDeltaGate is SatisfiedDelta under gate governance (see
-// SatisfiedGate).
+// SatisfiedGate). It prepares a one-constraint DeltaChecker for the
+// call; callers checking many Δ against one (D, Dm) prepare once with
+// Set.PrepareDelta.
 func (c *Constraint) SatisfiedDeltaGate(d, delta, dm *relation.Database, g *query.Gate) (bool, error) {
-	if c.Reverse {
-		// p(Dm) ⊆ q(D) is monotone in D for monotone q: extensions can
-		// only add q-answers, so the precondition carries over.
-		if c.Q.Lang().Monotone() {
-			return true, nil
-		}
-		return c.satisfiedUnion(d, delta, dm, g)
-	}
-	if !c.Q.Lang().Monotone() {
-		return c.satisfiedUnion(d, delta, dm, g)
-	}
-	pc := c.masterCache(dm)
-	var kb []byte
-	for _, t := range c.Q.Tableaux() {
-		violated := false
-		if pc.rhsIDs != nil {
-			// Integer fast path: heads arrive as interned ids and
-			// membership is one fixed-width key probe — no Binding,
-			// HeadTuple or string Key per differential match.
-			handled, err := t.EvalFuncDeltaIDsGate(d, delta, g, func(head []int32) bool {
-				kb = relation.AppendIDKey(kb[:0], head)
-				if !pc.rhsIDs[string(kb)] {
-					violated = true
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				return false, err
-			}
-			if handled {
-				if violated {
-					return false, nil
-				}
-				continue
-			}
-		}
-		err := t.EvalFuncDeltaGate(d, delta, g, func(b query.Binding) bool {
-			h, ok := t.HeadTuple(b)
-			if !ok {
-				return true
-			}
-			if !pc.rhs[h.Key()] {
-				violated = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return false, err
-		}
-		if violated {
-			return false, nil
-		}
-	}
-	return true, nil
+	return NewSet(c).SatisfiedDeltaGate(d, delta, dm, g)
 }
 
 func (c *Constraint) satisfiedUnion(d, delta, dm *relation.Database, g *query.Gate) (bool, error) {
@@ -405,18 +352,11 @@ func (s *Set) SatisfiedDelta(d, delta, dm *relation.Database) (bool, error) {
 }
 
 // SatisfiedDeltaGate is SatisfiedDelta under gate governance (see
-// SatisfiedGate).
+// SatisfiedGate). It prepares a DeltaChecker for the one call;
+// callers checking many Δ against one (D, Dm) prepare once with
+// PrepareDelta.
 func (s *Set) SatisfiedDeltaGate(d, delta, dm *relation.Database, g *query.Gate) (bool, error) {
-	if s == nil {
-		return true, nil
-	}
-	for _, c := range s.Constraints {
-		ok, err := c.SatisfiedDeltaGate(d, delta, dm, g)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
+	return s.PrepareDelta(d, dm).Satisfied(delta, g)
 }
 
 // AllMonotone reports whether every constraint is in a monotone

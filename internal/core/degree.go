@@ -130,7 +130,7 @@ func (ck *Checker) degree(q qlang.Query, d, dm *relation.Database, v *cc.Set, gv
 			continue
 		}
 		_, n, stop := search.run(func(mu *valuation) (any, error) {
-			r, err := rcdpWitness(mu, di, prep.schemas, prep.answerSet, d, dm, v, gate)
+			r, err := prep.witness(mu, di, gate)
 			if err != nil {
 				return nil, err
 			}

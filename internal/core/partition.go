@@ -242,7 +242,7 @@ claims:
 			continue
 		}
 		bud := ck.sliceBudget(di)
-		tasks := search.branchTasks(ctl, bud, di, prep.witnessFn(di, d, dm, v, gate))
+		tasks := search.branchTasks(ctl, bud, di, prep.witnessFn(di, gate))
 		// Baseline at the current count: a shared ledger may already
 		// carry other slices' charges, which are not this slice's.
 		prevVisited := bud.count()

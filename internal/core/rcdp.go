@@ -166,14 +166,17 @@ func (ck *Checker) RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.D
 // rcdpPrep is the shared setup of a disjunct search: the per-disjunct
 // valuation searches over the compiled tableaux (nil entries are
 // disjuncts unsatisfiable under domain constraints), the database
-// schemas and the already-answered head set, keyed on the head rows'
-// fixed-width id-keys (relation.AppendIDKey). Built once per check by
+// schemas, the already-answered head set, keyed on the head rows'
+// fixed-width id-keys (relation.AppendIDKey), and the constraint delta
+// checker prepared against (V, D, Dm). Built once per check by
 // prepareRCDP and then read-only, it is shared by the sequential
-// engine, the parallel engine and the partition-slice runner alike.
+// engine, the parallel engine and the partition-slice runner alike;
+// each search worker checks with its own clone of check.
 type rcdpPrep struct {
 	searches  []*valuationSearch
 	schemas   map[string]*relation.Schema
 	answerSet map[string]bool
+	check     *cc.DeltaChecker
 }
 
 // prepareRCDP performs the disjunct-independent setup of an RCDP check:
@@ -229,7 +232,7 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 		search.gate = gate
 		searches[di] = search
 	}
-	return &rcdpPrep{searches: searches, schemas: schemas, answerSet: answerSet}, nil
+	return &rcdpPrep{searches: searches, schemas: schemas, answerSet: answerSet, check: v.PrepareDelta(d, dm)}, nil
 }
 
 // rcdp is RCDP with an optional externally-owned worker pool — so that
@@ -252,7 +255,7 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 			pool = newWorkerPool(workers)
 		}
 		if pool != nil {
-			return ck.rcdpParallel(pool, prep, d, dm, v, gate)
+			return ck.rcdpParallel(pool, prep, d, dm, gate)
 		}
 	}
 
@@ -261,7 +264,7 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 		if search == nil {
 			continue
 		}
-		claim, visited, err := search.run(prep.witnessFn(di, d, dm, v, gate))
+		claim, visited, err := search.run(prep.witnessFn(di, gate))
 		res.Valuations += visited
 		noteDisjunct(di, visited, claim != nil)
 		if err != nil {
@@ -281,10 +284,10 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 
 // witnessFn returns disjunct di's leaf callback: it decides whether a
 // complete valuation is a counterexample to completeness and, if so,
-// claims the result (see rcdpWitness).
-func (prep *rcdpPrep) witnessFn(di int, d, dm *relation.Database, v *cc.Set, gate *query.Gate) leafFn {
+// claims the result (see witness).
+func (prep *rcdpPrep) witnessFn(di int, gate *query.Gate) leafFn {
 	return func(mu *valuation) (any, error) {
-		r, err := rcdpWitness(mu, di, prep.schemas, prep.answerSet, d, dm, v, gate)
+		r, err := prep.witness(mu, di, gate)
 		if r == nil {
 			return nil, err // not a counterexample (or failed); no claim
 		}
@@ -292,24 +295,28 @@ func (prep *rcdpPrep) witnessFn(di int, d, dm *relation.Database, v *cc.Set, gat
 	}
 }
 
-// rcdpWitness decides whether the complete valuation mu of disjunct
-// di's tableau is a counterexample to completeness, and if so builds
-// the result. It reads only warmed/immutable shared state (answerSet,
-// D, Dm, V, schemas) and allocates fresh output objects, so the
-// parallel engine may call it concurrently.
-func rcdpWitness(mu *valuation, di int, schemas map[string]*relation.Schema,
-	answerSet map[string]bool, d, dm *relation.Database, v *cc.Set, gate *query.Gate) (*RCDPResult, error) {
-	if answerSet[string(mu.headKey())] {
+// witness decides whether the complete valuation mu of disjunct di's
+// tableau is a counterexample to completeness — the Proposition 3.3
+// test μ(u) ∉ Q(D) and (D ∪ μ(T), Dm) ⊨ V — and if so builds the
+// result. It reads only the read-only prep and the worker-owned
+// valuation (whose clone of the prepared constraint check it makes on
+// first use) and allocates fresh output objects, so the parallel
+// engine may call it concurrently from different workers.
+func (prep *rcdpPrep) witness(mu *valuation, di int, gate *query.Gate) (*RCDPResult, error) {
+	if prep.answerSet[string(mu.headKey())] {
 		return nil, nil // already answered; cannot change Q(D)
 	}
-	delta, err := mu.apply(schemas)
+	delta, err := mu.apply(prep.schemas)
 	if err != nil {
 		return nil, err
 	}
 	if err := gate.ChargeTuples(delta.TupleCount()); err != nil {
 		return nil, err
 	}
-	sat, err := v.SatisfiedDeltaGate(d, delta, dm, gate)
+	if mu.check == nil {
+		mu.check = prep.check.Clone()
+	}
+	sat, err := mu.check.Satisfied(delta, gate)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +342,7 @@ func rcdpWitness(mu *valuation, di int, schemas map[string]*relation.Schema,
 // claims to the smallest (disjunct, branch) key, and per-disjunct
 // budget controllers preserve the MaxValuations semantics. See
 // DESIGN.md, "Parallel search", for the determinism argument.
-func (ck *Checker) rcdpParallel(pool *workerPool, prep *rcdpPrep, d, dm *relation.Database, v *cc.Set,
+func (ck *Checker) rcdpParallel(pool *workerPool, prep *rcdpPrep, d, dm *relation.Database,
 	gate *query.Gate) (*RCDPResult, error) {
 	warmShared(d, dm)
 	ctl := newRaceCtl()
@@ -346,7 +353,7 @@ func (ck *Checker) rcdpParallel(pool *workerPool, prep *rcdpPrep, d, dm *relatio
 			continue
 		}
 		budgets[di] = newBudgetCtl(ck.effectiveValuations())
-		tasks = append(tasks, search.branchTasks(ctl, budgets[di], di, prep.witnessFn(di, d, dm, v, gate))...)
+		tasks = append(tasks, search.branchTasks(ctl, budgets[di], di, prep.witnessFn(di, gate))...)
 	}
 	pool.run(tasks)
 

@@ -276,6 +276,9 @@ type valuation struct {
 	// spare is a dead fragment handed back by release, refilled by the
 	// next apply.
 	spare *relation.Database
+	// check is the worker's clone of the check's prepared constraint
+	// delta checker, made on first use (see rcdpPrep.witness).
+	check *cc.DeltaChecker
 }
 
 // newValuation returns an all-unbound valuation over the search's slots.

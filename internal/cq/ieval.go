@@ -114,7 +114,10 @@ type ijoin struct {
 // isetup compiles the fast-path preconditions: interning on, a usable
 // plan, and every present template instance interned over the shared
 // dictionary with matching arity. ok=false sends the evaluation to the
-// legacy engine.
+// legacy engine. The result is bound to d — instances and index views
+// by template position, constant ids resolved — and owns its slot,
+// trail and delta buffers, so it can drive any number of enumerations
+// over d (see DeltaJoin).
 func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) (*ijoin, bool) {
 	ip := t.ip
 	if ip == nil || !ip.ok || !relation.InterningEnabled() {
@@ -125,9 +128,7 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) (*i
 	nc, nv := len(ip.consts), len(t.Vars)
 	// One backing array serves cids, slots and the (bounded by nv)
 	// trail; one instance slice and one index slice each serve both the
-	// base and the delta halves. The decision procedures run one setup
-	// per valuation per constraint, so these five-allocations-for-two
-	// matters.
+	// base and the delta halves.
 	ibuf := make([]int32, nc+nv, nc+2*nv)
 	insbuf := make([]*relation.Instance, 2*n)
 	ixbuf := make([]relation.IDIndex, 2*n)
@@ -164,25 +165,25 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) (*i
 	return st, true
 }
 
-// ideltaSetup extends isetup with the delta database's instances.
-func (t *Tableau) ideltaSetup(d, delta *relation.Database, gs *gateState, es *evalStats) (*ijoin, bool) {
-	st, ok := t.isetup(d, gs, es)
-	if !ok {
-		return nil, false
-	}
+// bindDelta points the delta half of the join at delta's instances,
+// by template position. ok=false means some involved delta instance is
+// not interned over the shared dictionary (or has the wrong arity), and
+// the evaluation must take the legacy engine.
+func (st *ijoin) bindDelta(templates []query.RelAtom, delta *relation.Database) bool {
 	dict := relation.Shared()
-	for i, a := range t.Templates {
+	for i, a := range templates {
+		st.dins[i], st.dixs[i] = nil, relation.IDIndex{}
 		in := delta.Instance(a.Rel)
 		if in == nil {
 			continue
 		}
 		if in.InternDict() != dict || in.Schema.Arity() != len(a.Args) {
-			return nil, false
+			return false
 		}
 		st.dins[i] = in
 		st.dixs[i] = in.IDs()
 	}
-	return st, true
+	return true
 }
 
 // resolve returns the id of a term under the current binding; bound is
@@ -462,45 +463,109 @@ func (t *Tableau) evalFuncInterned(d *relation.Database, g *query.Gate, fn func(
 	return true, gs.finish()
 }
 
-// evalFuncDeltaInterned is the fast path of EvalFuncDeltaGate.
+// evalFuncDeltaInterned is the fast path of EvalFuncDeltaGate: the
+// prepared differential join with a Binding leaf.
 func (t *Tableau) evalFuncDeltaInterned(d, delta *relation.Database, g *query.Gate, fn func(query.Binding) bool) (handled bool, err error) {
-	gs := gate(g)
-	var es evalStats
-	st, ok := t.ideltaSetup(d, delta, gs, &es)
+	dj, ok := t.PrepareDelta(d)
 	if !ok {
 		return false, nil
 	}
-	st.leaf = st.bindingLeaf(t.Vars, fn)
-	st.runDeltaAll(len(t.Templates))
-	es.flush()
-	return true, gs.finish()
+	dj.st.leaf = dj.st.bindingLeaf(t.Vars, fn)
+	return dj.run(delta, g)
 }
 
-// EvalFuncDeltaIDsGate is EvalFuncDeltaGate specialized to interned
-// callers: fn receives the head tuple as dictionary ids (the slice is
-// reused between calls) instead of a materialized Binding, which is
-// what lets cc's incremental constraint check compare heads against its
-// id-keyed p(Dm) memo without any per-leaf string work. handled=false
-// means some involved instance uses legacy storage and the caller must
-// fall back to EvalFuncDeltaGate.
-func (t *Tableau) EvalFuncDeltaIDsGate(d, delta *relation.Database, g *query.Gate, fn func(head []int32) bool) (handled bool, err error) {
+// DeltaJoin is a tableau's differential join (see EvalFuncDeltaGate)
+// prepared once against a fixed base database D: instances and index
+// views bound by template position, constant ids resolved, and the
+// slot, trail and head buffers allocated. Each Run then only binds the
+// Δ instances and enumerates, so a decision procedure that checks one
+// small Δ per candidate valuation pays the setup once per search.
+//
+// A DeltaJoin is single-goroutine state; Clone gives each search
+// worker its own. The binding to D is read-only and shared, so D must
+// not be mutated while any DeltaJoin over it is in use.
+type DeltaJoin struct {
+	t    *Tableau
+	st   ijoin
+	gs   gateState
+	es   evalStats
+	hbuf []int32
+	fn   func(head []int32) bool
+}
+
+// PrepareDelta binds the tableau to d for repeated differential
+// evaluation. ok is false when the interned engine cannot serve d (no
+// templates, an unusable plan, legacy storage or interning off); the
+// caller then evaluates through EvalFuncDeltaGate.
+func (t *Tableau) PrepareDelta(d *relation.Database) (*DeltaJoin, bool) {
 	if len(t.Templates) == 0 {
-		return true, nil // no templates: answers cannot change
+		return nil, false
 	}
-	gs := gate(g)
-	var es evalStats
-	st, ok := t.ideltaSetup(d, delta, gs, &es)
+	st, ok := t.isetup(d, nil, nil)
 	if !ok {
+		return nil, false
+	}
+	dj := &DeltaJoin{t: t, st: *st, hbuf: make([]int32, len(t.Head))}
+	dj.st.es = &dj.es
+	dj.st.leaf = dj.headLeaf
+	return dj, true
+}
+
+// Clone returns an independent DeltaJoin sharing the read-only binding
+// to D.
+func (dj *DeltaJoin) Clone() *DeltaJoin {
+	n, nv := len(dj.st.ins), len(dj.st.slots)
+	c := &DeltaJoin{t: dj.t, st: dj.st, hbuf: make([]int32, len(dj.hbuf))}
+	c.st.dins = make([]*relation.Instance, n)
+	c.st.dixs = make([]relation.IDIndex, n)
+	ibuf := make([]int32, nv, 2*nv)
+	c.st.slots, c.st.trail = ibuf[:nv], ibuf[nv:nv]
+	for i := range c.st.slots {
+		c.st.slots[i] = -1
+	}
+	c.st.es = &c.es
+	c.st.leaf = c.headLeaf
+	return c
+}
+
+// headLeaf hands the leaf's head row, as ids, to the Run callback.
+func (dj *DeltaJoin) headLeaf() bool {
+	for i, h := range dj.st.ip.head {
+		dj.hbuf[i], _ = dj.st.resolve(h)
+	}
+	return dj.fn(dj.hbuf)
+}
+
+// Run evaluates the differential matches of the tableau over (D, delta)
+// exactly as EvalFuncDeltaGate does — the same enumeration, row charges
+// and gate flush points — handing each match's head row to fn as
+// dictionary ids (the slice is reused between calls). fn returning
+// false stops the enumeration. handled=false means some delta instance
+// uses legacy storage and the caller must fall back to
+// EvalFuncDeltaGate.
+func (dj *DeltaJoin) Run(delta *relation.Database, g *query.Gate, fn func(head []int32) bool) (handled bool, err error) {
+	dj.fn = fn
+	handled, err = dj.run(delta, g)
+	dj.fn = nil
+	return handled, err
+}
+
+// run binds delta and drives one delta pass per template position
+// under a fresh per-evaluation gate state.
+func (dj *DeltaJoin) run(delta *relation.Database, g *query.Gate) (handled bool, err error) {
+	st := &dj.st
+	if !st.bindDelta(dj.t.Templates, delta) {
 		return false, nil
 	}
-	hbuf := make([]int32, len(t.Head))
-	st.leaf = func() bool {
-		for i, h := range st.ip.head {
-			hbuf[i], _ = st.resolve(h)
-		}
-		return fn(hbuf)
+	st.gs = nil
+	if g != nil {
+		dj.gs = gateState{g: g}
+		st.gs = &dj.gs
 	}
-	st.runDeltaAll(len(t.Templates))
-	es.flush()
-	return true, gs.finish()
+	dj.es = evalStats{}
+	st.runDeltaAll(len(dj.t.Templates))
+	clear(st.dins)
+	clear(st.dixs)
+	dj.es.flush()
+	return true, st.gs.finish()
 }

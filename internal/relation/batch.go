@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -179,13 +180,13 @@ func (in *Instance) mergePostings(old *postingSet, n0 int) *postingSet {
 	for i := range fresh {
 		fresh[i] = int32(n0 + i)
 	}
-	sort.Slice(fresh, func(i, j int) bool { return in.rowLess(vals, fresh[i], fresh[j]) })
+	slices.SortFunc(fresh, func(a, b int32) int { return in.rowCompare(vals, a, b) })
 	rank := make([]int32, 0, in.n)
 	oi, fi := 0, 0
 	for oi < len(old.rank) && fi < len(fresh) {
 		// The dictionary is injective and rows are deduplicated, so two
 		// distinct rows never compare equal; strict less suffices.
-		if in.rowLess(vals, old.rank[oi], fresh[fi]) {
+		if in.rowCompare(vals, old.rank[oi], fresh[fi]) < 0 {
 			rank = append(rank, old.rank[oi])
 			oi++
 		} else {
@@ -196,17 +197,6 @@ func (in *Instance) mergePostings(old *postingSet, n0 int) *postingSet {
 	rank = append(rank, old.rank[oi:]...)
 	rank = append(rank, fresh[fi:]...)
 	return in.postingSetForRank(rank)
-}
-
-// rowLess orders two rows of an interned instance by their value
-// strings, exactly as Tuple.Less orders the materialized tuples.
-func (in *Instance) rowLess(vals []Value, r1, r2 int32) bool {
-	for c := range in.cols {
-		if a, b := in.cols[c][r1], in.cols[c][r2]; a != b {
-			return vals[a] < vals[b]
-		}
-	}
-	return false
 }
 
 // postingSetForRank materializes the posting set for the current

@@ -2,7 +2,8 @@ package relation
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -99,6 +100,13 @@ type postingSet struct {
 	rank  []int32                      // rank (sorted position) -> row
 	scols [][]int32                    // [col][rank] -> id, in rank order
 	cols  []atomic.Pointer[postingCol] // lazily built per-column postings
+
+	// rankBuf and colBuf are the set's own storage behind rank and
+	// scols (a single-row set aliases the live columns instead). A set
+	// retired by Instance.Reset is rebuilt into them, which is what
+	// makes refilling a recycled Δ-fragment allocation-free.
+	rankBuf []int32
+	colBuf  []int32
 }
 
 // postingCol holds the posting containers of one column: for each
@@ -108,11 +116,11 @@ type postingSet struct {
 // Instance.Tuples scan — the property every enumeration-order-sensitive
 // observation downstream relies on.
 type postingCol struct {
-	ids    []int32 // all distinct ids of the column, ascending
-	counts []int32 // counts[i] = frequency of ids[i]
-	offs   []int32 // offs[i] = start into ranks, or -1 for a Bitset
-	ranks  []int32 // concatenated rank arrays of the sparse ids
-	dense  map[int32]*Bitset
+	ids    []int32   // all distinct ids of the column, ascending
+	counts []int32   // counts[i] = frequency of ids[i]
+	offs   []int32   // offs[i] = start into ranks, or -1 for a Bitset
+	ranks  []int32   // concatenated rank arrays of the sparse ids
+	bits   []*Bitset // bits[i] = the Bitset of ids[i] when offs[i] < 0
 
 	// tbuckets lazily materializes value → []Tuple buckets for the
 	// legacy Lookup API on interned instances (only paid when a caller
@@ -141,7 +149,7 @@ type Postings struct {
 // through per-column order codes (one string sort per distinct value
 // set, then integer row comparisons) instead of comparing value strings
 // per row pair. Small instances — the per-valuation Δ-deltas of the
-// decision procedures — skip the order-code allocation entirely.
+// decision procedures — skip the order-code scratch entirely.
 const ordSortMinRows = 64
 
 // ensurePostings returns the posting set for the current generation,
@@ -166,97 +174,165 @@ func (in *Instance) ensurePostings() *postingSet {
 // set.
 var oneRank = []int32{0}
 
+// growInt32 returns buf resliced to n, reallocating only when its
+// capacity is short.
+func growInt32(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
 // buildPostingBase computes the rank permutation and rank-ordered
 // column slices for the current generation. Rows are ordered by their
 // value strings exactly as Tuple.Less orders materialized tuples; the
-// dictionary is injective, so distinct ids always have distinct values.
+// dictionary is injective and rows are deduplicated, so the order is
+// total and the permutation unique.
 //
-// Instances at or below smallIndexRows never receive posting-container
-// slots (ps.cols stays empty): the IDIndex view answers their probes by
-// scanning, so the slots would be dead weight — and the decision
-// procedures build one such instance per valuation, making every
-// skipped allocation count. Single-row instances additionally alias the
-// live columns instead of copying: the views are immutable-by-contract
+// The set retired by the last Reset, when there is one, is rebuilt in
+// place: the decision procedures refill one recycled Δ-fragment per
+// candidate valuation, and with the retired set's buffers a refill of
+// up to smallIndexRows rows allocates nothing. Instances at or below
+// smallIndexRows never receive posting-container slots (ps.cols stays
+// empty): the IDIndex view answers their probes by scanning, so the
+// slots would be dead weight. Single-row instances alias the live
+// columns instead of copying: the views are immutable-by-contract
 // (readers of a mutating instance are forbidden, and the next
 // generation rebuilds).
 func (in *Instance) buildPostingBase() *postingSet {
-	n := in.n
-	arity := len(in.cols)
-	if n <= 1 {
-		ps := &postingSet{gen: in.gen, scols: make([][]int32, arity)}
-		if n == 1 {
-			ps.rank = oneRank
-			for c := range ps.scols {
-				ps.scols[c] = in.cols[c][:1:1]
-			}
-		}
-		return ps
+	n, arity := in.n, len(in.cols)
+	ps := in.retired.Swap(nil)
+	if ps == nil {
+		ps = &postingSet{}
 	}
-	ps := &postingSet{
-		gen:   in.gen,
-		rank:  make([]int32, n),
-		scols: make([][]int32, arity),
+	ps.gen = in.gen
+	if cap(ps.scols) < arity {
+		ps.scols = make([][]int32, arity)
 	}
+	ps.scols = ps.scols[:arity]
+	ps.cols = nil
 	if n > smallIndexRows {
 		ps.cols = make([]atomic.Pointer[postingCol], arity)
 	}
-	for r := range ps.rank {
-		ps.rank[r] = int32(r)
+	switch n {
+	case 0:
+		ps.rank = nil
+		clear(ps.scols)
+		return ps
+	case 1:
+		ps.rank = oneRank
+		for c := range ps.scols {
+			ps.scols[c] = in.cols[c][:1:1]
+		}
+		return ps
 	}
-	vals := in.dict.Snapshot()
-	if n > 1 && arity > 0 {
+	ps.rankBuf = growInt32(ps.rankBuf, n)
+	rank := ps.rankBuf
+	for r := range rank {
+		rank[r] = int32(r)
+	}
+	if arity > 0 {
 		if n < ordSortMinRows {
-			sort.Slice(ps.rank, func(i, j int) bool {
-				ri, rj := ps.rank[i], ps.rank[j]
-				for c := 0; c < arity; c++ {
-					if a, b := in.cols[c][ri], in.cols[c][rj]; a != b {
-						return vals[a] < vals[b]
-					}
-				}
-				return false
-			})
+			vals := in.dict.Snapshot()
+			slices.SortFunc(rank, func(a, b int32) int { return in.rowCompare(vals, a, b) })
 		} else {
-			ords := make([][]int32, arity)
-			for c := 0; c < arity; c++ {
-				col := in.cols[c]
-				idOrd := make(map[int32]int32, 64)
-				for _, id := range col {
-					idOrd[id] = 0
-				}
-				ids := make([]int32, 0, len(idOrd))
-				for id := range idOrd {
-					ids = append(ids, id)
-				}
-				sort.Slice(ids, func(i, j int) bool { return vals[ids[i]] < vals[ids[j]] })
-				for o, id := range ids {
-					idOrd[id] = int32(o)
-				}
-				oc := make([]int32, n)
-				for r, id := range col {
-					oc[r] = idOrd[id]
-				}
-				ords[c] = oc
-			}
-			sort.Slice(ps.rank, func(i, j int) bool {
-				ri, rj := ps.rank[i], ps.rank[j]
-				for c := 0; c < arity; c++ {
-					if a, b := ords[c][ri], ords[c][rj]; a != b {
-						return a < b
-					}
-				}
-				return false
-			})
+			in.sortByOrderCodes(rank)
 		}
 	}
-	backing := make([]int32, n*arity)
+	ps.rank = rank
+	ps.colBuf = growInt32(ps.colBuf, n*arity)
 	for c := 0; c < arity; c++ {
-		sc := backing[c*n : (c+1)*n : (c+1)*n]
-		for k, r := range ps.rank {
+		sc := ps.colBuf[c*n : (c+1)*n : (c+1)*n]
+		for k, r := range rank {
 			sc[k] = in.cols[c][r]
 		}
 		ps.scols[c] = sc
 	}
 	return ps
+}
+
+// rowCompare orders two rows of an interned instance by their value
+// strings, exactly as Tuple.Less orders the materialized tuples.
+func (in *Instance) rowCompare(vals []Value, r1, r2 int32) int {
+	for c := range in.cols {
+		if a, b := in.cols[c][r1], in.cols[c][r2]; a != b {
+			return strings.Compare(string(vals[a]), string(vals[b]))
+		}
+	}
+	return 0
+}
+
+// sortByOrderCodes sorts rank (the identity permutation of the rows)
+// into Tuple.Less order without comparing value strings per row pair.
+// Each column's rows are grouped by id with one integer sort of
+// (id, row) pairs, the column's distinct ids are sorted once by value,
+// and every row gets its id's position in that order as an integer
+// order code. The rows are then ordered by one stable counting-sort
+// pass per column, last column first (LSD radix over the codes).
+func (in *Instance) sortByOrderCodes(rank []int32) {
+	n, arity := in.n, len(in.cols)
+	vals := in.dict.Snapshot()
+	pairs := make([]uint64, n)
+	// codes holds every column's order codes back to back; the scratch
+	// slices after it serve one column (or one pass) at a time.
+	buf := make([]int32, n*arity+4*n+1)
+	codes, rest := buf[:n*arity], buf[n*arity:]
+	distinct, codeOf, tmp, counts := rest[:n], rest[n:2*n], rest[2*n:3*n], rest[3*n:]
+	for c := 0; c < arity; c++ {
+		ids := groupByID(pairs, in.cols[c][:n], distinct)
+		byValue := tmp[:len(ids)]
+		for i := range byValue {
+			byValue[i] = int32(i)
+		}
+		slices.SortFunc(byValue, func(a, b int32) int { return strings.Compare(string(vals[ids[a]]), string(vals[ids[b]])) })
+		for o, i := range byValue {
+			codeOf[i] = int32(o)
+		}
+		oc := codes[c*n : (c+1)*n]
+		i := -1
+		for k, p := range pairs {
+			if k == 0 || p>>32 != pairs[k-1]>>32 {
+				i++
+			}
+			oc[uint32(p)] = codeOf[i]
+		}
+	}
+	src, dst := rank, tmp
+	for c := arity - 1; c >= 0; c-- {
+		oc := codes[c*n : (c+1)*n]
+		clear(counts)
+		for _, r := range src {
+			counts[oc[r]+1]++
+		}
+		for i := 1; i <= n; i++ {
+			counts[i] += counts[i-1]
+		}
+		for _, r := range src {
+			dst[counts[oc[r]]] = r
+			counts[oc[r]]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &rank[0] {
+		copy(rank, src)
+	}
+}
+
+// groupByID fills pairs with the (id, position) pairs of col sorted by
+// id then position, and returns col's distinct ids in ascending order,
+// written into distinct.
+func groupByID(pairs []uint64, col []int32, distinct []int32) []int32 {
+	for k, id := range col {
+		pairs[k] = uint64(uint32(id))<<32 | uint64(k)
+	}
+	slices.Sort(pairs)
+	ids := distinct[:0]
+	for k, p := range pairs {
+		if k == 0 || p>>32 != pairs[k-1]>>32 {
+			ids = append(ids, int32(p>>32))
+		}
+	}
+	return ids
 }
 
 // postingCol returns the posting containers for col, building and
@@ -277,47 +353,47 @@ func (in *Instance) postingColFor(ps *postingSet, col int) *postingCol {
 }
 
 // buildPostingCol groups the rank-ordered id slice of one column into
-// per-id containers. Iterating sc in ascending rank order makes every
-// rank array ascending by construction.
+// per-id containers. One integer sort of (id, rank) pairs lays every
+// id's ranks out contiguously and in ascending order, so the rank
+// arrays and bitmaps fill in a single pass over the sorted pairs.
 func buildPostingCol(sc []int32, n int) *postingCol {
 	obs.IndexBuilds.Inc()
-	counts := make(map[int32]int32, 64)
-	for _, id := range sc {
-		counts[id]++
+	pairs := make([]uint64, len(sc))
+	pc := &postingCol{}
+	pc.ids = groupByID(pairs, sc, make([]int32, 0, 16))
+	pc.counts = make([]int32, len(pc.ids))
+	pc.offs = make([]int32, len(pc.ids))
+	i := -1
+	for k, p := range pairs {
+		if k == 0 || p>>32 != pairs[k-1]>>32 {
+			i++
+		}
+		pc.counts[i]++
 	}
-	ids := make([]int32, 0, len(counts))
-	for id := range counts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	pc := &postingCol{ids: ids, counts: make([]int32, len(ids)), offs: make([]int32, len(ids))}
-	slot := make(map[int32]int32, len(ids))
 	arrTotal := int32(0)
-	for i, id := range ids {
-		c := counts[id]
-		pc.counts[i] = c
-		slot[id] = int32(i)
+	for i, c := range pc.counts {
 		if denseWorthy(c, n) {
 			pc.offs[i] = -1
-			if pc.dense == nil {
-				pc.dense = make(map[int32]*Bitset)
+			if pc.bits == nil {
+				pc.bits = make([]*Bitset, len(pc.ids))
 			}
-			pc.dense[id] = newBitset(n)
+			pc.bits[i] = newBitset(n)
 		} else {
 			pc.offs[i] = arrTotal
 			arrTotal += c
 		}
 	}
-	pc.ranks = make([]int32, arrTotal)
-	cur := append([]int32(nil), pc.offs...)
-	for k, id := range sc {
-		i := slot[id]
-		if pc.offs[i] < 0 {
-			pc.dense[id].set(int32(k))
-			continue
+	pc.ranks = make([]int32, 0, arrTotal)
+	i = -1
+	for k, p := range pairs {
+		if k == 0 || p>>32 != pairs[k-1]>>32 {
+			i++
 		}
-		pc.ranks[cur[i]] = int32(k)
-		cur[i]++
+		if pc.offs[i] < 0 {
+			pc.bits[i].set(int32(uint32(p)))
+		} else {
+			pc.ranks = append(pc.ranks, int32(uint32(p)))
+		}
 	}
 	return pc
 }
@@ -325,12 +401,12 @@ func buildPostingCol(sc []int32, n int) *postingCol {
 // postings returns the container of one id, or an empty Postings when
 // the id does not occur in the column.
 func (pc *postingCol) postings(id int32) Postings {
-	i := sort.Search(len(pc.ids), func(i int) bool { return pc.ids[i] >= id })
-	if i >= len(pc.ids) || pc.ids[i] != id {
+	i, found := slices.BinarySearch(pc.ids, id)
+	if !found {
 		return Postings{}
 	}
 	if pc.offs[i] < 0 {
-		return Postings{Bits: pc.dense[id], N: pc.counts[i]}
+		return Postings{Bits: pc.bits[i], N: pc.counts[i]}
 	}
 	return Postings{Ranks: pc.ranks[pc.offs[i] : pc.offs[i]+pc.counts[i]], N: pc.counts[i]}
 }

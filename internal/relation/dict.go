@@ -3,6 +3,7 @@ package relation
 import (
 	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -65,17 +66,55 @@ func (d *Dict) Intern(v Value) int32 {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.internLocked(v)
+}
+
+// internLocked is Intern's write path; the caller holds the write
+// lock. A first-seen value is cloned before it is stored: callers
+// routinely pass substrings of a larger buffer (a parsed request
+// body), and the dictionary lives for the whole process, so storing
+// the caller's string would keep the entire buffer reachable.
+func (d *Dict) internLocked(v Value) int32 {
 	if id, ok := d.ids[v]; ok {
 		return id
 	}
-	id = int32(len(d.vals))
+	id := int32(len(d.vals))
 	if id < 0 {
 		panic("relation: dictionary overflow (2^31 distinct values)")
 	}
+	v = Value(strings.Clone(string(v)))
 	d.ids[v] = id
 	d.vals = append(d.vals, v)
 	obs.DictSize.Set(int64(len(d.vals)))
 	return id
+}
+
+// InternStrings sets ids[i] to the id of vals[i], interning first-seen
+// values, under one read-lock acquisition when every value is already
+// known (and one write-lock acquisition otherwise) — the per-fact
+// lookup of the fact parser, which passes substrings of the source
+// text. ids must be at least as long as vals.
+func (d *Dict) InternStrings(vals []string, ids []int32) {
+	missing := false
+	d.mu.RLock()
+	for i, s := range vals {
+		id, ok := d.ids[Value(s)]
+		if !ok {
+			id, missing = -1, true
+		}
+		ids[i] = id
+	}
+	d.mu.RUnlock()
+	if !missing {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, s := range vals {
+		if ids[i] < 0 {
+			ids[i] = d.internLocked(Value(s))
+		}
+	}
 }
 
 // ID returns the id of v without interning; ok is false when v has

@@ -291,6 +291,9 @@ type Instance struct {
 	// postings is the interned-mode counterpart of indexes: the
 	// CAS-published posting-list index of column.go.
 	postings atomic.Pointer[postingSet]
+	// retired is the posting set Reset unpublished; the next
+	// buildPostingBase claims it (Swap) and rebuilds into its buffers.
+	retired atomic.Pointer[postingSet]
 }
 
 // indexSet holds one generation's per-column indexes. cols has one slot
@@ -327,8 +330,10 @@ func NewInstance(s *Schema) *Instance {
 
 // linearRowsMax is the row count up to which an interned instance
 // resolves duplicates by scanning its columns instead of keeping the
-// id-key row map.
-const linearRowsMax = 8
+// id-key row map. It matches smallIndexRows, so a recycled Δ-fragment
+// small enough to be probed by scanning also dedups without the map
+// and refills without allocating.
+const linearRowsMax = smallIndexRows
 
 // rowOf returns the row holding exactly ids, or -1. Linear scan for
 // map-less small instances.
@@ -413,6 +418,39 @@ func (in *Instance) AddIDs(ids []int32) error {
 				in.Schema.Name, a.Name, in.dict.Value(ids[i]), a.Domain)
 		}
 	}
+	in.addRow(ids)
+	return nil
+}
+
+// AddStrings is Add for a tuple given as strings, typically substrings
+// of a larger source text: it validates arity and finite-domain
+// membership exactly as Add does, then an interned instance resolves
+// every value under one dictionary lock acquisition (see
+// Dict.InternStrings, which clones first-seen values) and appends the
+// id row, while a legacy instance inserts the Tuple as Add would.
+func (in *Instance) AddStrings(vals []string) error {
+	tuple := func() Tuple {
+		t := make(Tuple, len(vals))
+		for i, v := range vals {
+			t[i] = Value(v)
+		}
+		return t
+	}
+	if in.dict == nil || len(vals) != in.Schema.Arity() {
+		return in.Add(tuple())
+	}
+	for i, a := range in.Schema.Attrs {
+		if a.Domain.Kind == Finite && !a.Domain.Contains(Value(vals[i])) {
+			return in.Add(tuple()) // reports the violation
+		}
+	}
+	var ib [inlineArity]int32
+	ids := ib[:]
+	if len(vals) > inlineArity {
+		ids = make([]int32, len(vals))
+	}
+	ids = ids[:len(vals)]
+	in.dict.InternStrings(vals, ids)
 	in.addRow(ids)
 	return nil
 }
@@ -544,6 +582,11 @@ func (in *Instance) Reset() {
 		}
 		in.rows = nil
 		in.n = 0
+		// Nothing may read the old generation's view any more, so its
+		// buffers serve the next posting build.
+		if ps := in.postings.Swap(nil); ps != nil {
+			in.retired.Store(ps)
+		}
 	} else {
 		clear(in.tuples)
 	}
@@ -554,7 +597,7 @@ func (in *Instance) Reset() {
 // Reset empties every relation of the database in place; see
 // Instance.Reset.
 func (d *Database) Reset() {
-	for _, in := range d.rels {
+	for _, in := range d.insts {
 		in.Reset()
 	}
 }
@@ -870,7 +913,8 @@ func (in *Instance) String() string {
 // over schema Rm.
 type Database struct {
 	rels  map[string]*Instance
-	order []string // sorted relation names
+	order []string    // sorted relation names
+	insts []*Instance // the instances in order's order, for map-free scans
 }
 
 // NewDatabase returns a database with one empty instance per schema.
@@ -883,7 +927,7 @@ func NewDatabase(schemas ...*Schema) *Database {
 		d.rels[s.Name] = NewInstance(s)
 		d.order = append(d.order, s.Name)
 	}
-	sort.Strings(d.order)
+	d.reorder()
 	return d
 }
 
@@ -894,7 +938,16 @@ func (d *Database) AddSchema(s *Schema) {
 	}
 	d.rels[s.Name] = NewInstance(s)
 	d.order = append(d.order, s.Name)
+	d.reorder()
+}
+
+// reorder sorts the relation names and rebuilds insts to match.
+func (d *Database) reorder() {
 	sort.Strings(d.order)
+	d.insts = d.insts[:0]
+	for _, name := range d.order {
+		d.insts = append(d.insts, d.rels[name])
+	}
 }
 
 // Relations returns the relation names in sorted order.
@@ -935,9 +988,14 @@ func (d *Database) Contains(rel string, t Tuple) bool {
 
 // Clone returns a deep copy of the database (schemas shared).
 func (d *Database) Clone() *Database {
-	cp := &Database{rels: make(map[string]*Instance, len(d.rels)), order: append([]string(nil), d.order...)}
-	for name, in := range d.rels {
-		cp.rels[name] = in.Clone()
+	cp := &Database{
+		rels:  make(map[string]*Instance, len(d.rels)),
+		order: append([]string(nil), d.order...),
+		insts: make([]*Instance, len(d.insts)),
+	}
+	for i, in := range d.insts {
+		cp.insts[i] = in.Clone()
+		cp.rels[d.order[i]] = cp.insts[i]
 	}
 	return cp
 }
@@ -950,7 +1008,7 @@ func (d *Database) Warm() {
 	if d == nil {
 		return
 	}
-	for _, in := range d.rels {
+	for _, in := range d.insts {
 		in.Warm()
 	}
 }
@@ -1002,7 +1060,7 @@ func (d *Database) Equal(o *Database) bool {
 // TupleCount returns the total number of tuples across all relations.
 func (d *Database) TupleCount() int {
 	n := 0
-	for _, in := range d.rels {
+	for _, in := range d.insts {
 		n += in.Len()
 	}
 	return n
@@ -1017,7 +1075,7 @@ func (d *Database) ActiveDomain() []Value {
 		return shared.SortedIDValues(set)
 	}
 	seen := make(map[Value]bool)
-	for _, in := range d.rels {
+	for _, in := range d.insts {
 		in.valuesInto(seen)
 	}
 	return SortedValues(seen)
@@ -1032,12 +1090,12 @@ func (d *Database) InternedIDs(set []uint64) ([]uint64, bool) {
 	if d == nil {
 		return set, true
 	}
-	for _, in := range d.rels {
+	for _, in := range d.insts {
 		if in.dict != shared {
 			return set, false
 		}
 	}
-	for _, in := range d.rels {
+	for _, in := range d.insts {
 		for _, col := range in.cols {
 			for _, id := range col[:in.n] {
 				set = SetIDBit(set, id)

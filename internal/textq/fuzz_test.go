@@ -91,6 +91,46 @@ func FuzzParseSchemas(f *testing.F) {
 	})
 }
 
+// referenceParseDatabase is the fact parser as it stood before facts
+// were scanned straight into ids: the generic term parser builds each
+// fact's terms and Database.Add inserts the tuple. FuzzParseDatabase
+// holds ParseDatabase to it.
+func referenceParseDatabase(src string, schemas map[string]*relation.Schema) (*relation.Database, error) {
+	p, err := newParser(src)
+	if err != nil {
+		return nil, err
+	}
+	d := emptyDatabase(schemas)
+	for p.tok.kind != tokEOF {
+		name, err := p.expect(tokIdent, "relation name")
+		if err != nil {
+			return nil, err
+		}
+		args, err := p.termList()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.expect(tokDot, "'.'"); err != nil {
+			return nil, err
+		}
+		tup := make(relation.Tuple, len(args))
+		for i, a := range args {
+			if a.IsVar {
+				tup[i] = relation.Value(a.Name)
+			} else {
+				tup[i] = a.Val
+			}
+		}
+		if err := d.Add(name.text, tup); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
+}
+
+// FuzzParseDatabase checks the fact parser two ways, under both storage
+// modes: against the reference parser (both fail, or both succeed with
+// Equal databases), and across a format/reparse round trip.
 func FuzzParseDatabase(f *testing.F) {
 	f.Add("Supt(e0, sales, c1).\nF(1).\n")
 	f.Add("Cust(c1, Ann, 01, 908, 5550001).\n")
@@ -98,25 +138,39 @@ func FuzzParseDatabase(f *testing.F) {
 	f.Add("Supt(e0, sales, c1)")
 	f.Add("Nope(a).")
 	f.Add("# only a comment\n")
+	f.Add("Supt(E, 'D', c1). Supt(E, 'D', c1).\nManage().")
+	f.Add("F(2).\nF(0)")
 	f.Fuzz(func(t *testing.T, src string) {
 		ss, err := ParseSchemas(fuzzSchemas)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := ParseDatabase(src, ss)
-		if err != nil {
-			return
-		}
-		if !representable(d) {
-			return
-		}
-		out := FormatDatabase(d)
-		d2, err := ParseDatabase(out, ss)
-		if err != nil {
-			t.Fatalf("formatted database does not reparse: %v\n%s", err, out)
-		}
-		if !d.Equal(d2) {
-			t.Fatalf("database changed across round trip:\n%v\nvs\n%v", d, d2)
+		prev := relation.InterningEnabled()
+		defer relation.SetInterning(prev)
+		for _, interned := range []bool{true, false} {
+			relation.SetInterning(interned)
+			d, err := ParseDatabase(src, ss)
+			ref, refErr := referenceParseDatabase(src, ss)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("interned=%v: parser error %v, reference error %v\n%q", interned, err, refErr, src)
+			}
+			if err != nil {
+				continue
+			}
+			if !d.Equal(ref) {
+				t.Fatalf("interned=%v: parser and reference disagree:\n%v\nvs\n%v", interned, d, ref)
+			}
+			if !representable(d) {
+				continue
+			}
+			out := FormatDatabase(d)
+			d2, err := ParseDatabase(out, ss)
+			if err != nil {
+				t.Fatalf("interned=%v: formatted database does not reparse: %v\n%s", interned, err, out)
+			}
+			if !d.Equal(d2) {
+				t.Fatalf("interned=%v: database changed across round trip:\n%v\nvs\n%v", interned, d, d2)
+			}
 		}
 	})
 }

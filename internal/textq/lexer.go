@@ -159,9 +159,9 @@ scan:
 		l.pos = i + 1
 		return t, nil
 	}
-	if isIdentRune(rune(c)) {
+	if identByte[c] {
 		i := l.pos
-		for i < len(l.src) && isIdentRune(rune(l.src[i])) {
+		for i < len(l.src) && identByte[l.src[i]] {
 			i++
 		}
 		t := token{kind: tokIdent, text: l.src[l.pos:i], pos: l.pos, line: l.line}
@@ -174,3 +174,13 @@ scan:
 func isIdentRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
 }
+
+// identByte tabulates isIdentRune over single bytes: the lexer scans
+// identifiers byte by byte (a byte is read as the rune of its value),
+// and the table makes that a lookup.
+var identByte = func() (t [256]bool) {
+	for b := range t {
+		t[b] = isIdentRune(rune(b))
+	}
+	return t
+}()

@@ -268,43 +268,94 @@ func ParseSchemas(src string) (map[string]*relation.Schema, error) {
 }
 
 // ParseDatabase parses fact lines "Name(v, v, …)." over the schemas.
+// Facts carry constants only: identifiers that look like variables are
+// read as constants of the same spelling, and quoted constants stand
+// for their contents. Each fact is checked like relation.Instance.Add
+// (known relation, arity, finite-domain membership; a duplicate is a
+// no-op), and every error names the fact's line.
+//
+// The scan hands the fact's values to the instance as substrings of
+// src (relation.Instance.AddStrings): an interned instance resolves
+// them with one dictionary lock acquisition per fact and appends the
+// id row directly, so no term, tuple or value copy is built per fact.
 func ParseDatabase(src string, schemas map[string]*relation.Schema) (*relation.Database, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
+	d := emptyDatabase(schemas)
+	lx := newLexer(src)
+	var vals []string
+	for {
+		tok, err := lx.next()
+		if err != nil {
+			return nil, err
+		}
+		if tok.kind == tokEOF {
+			return d, nil
+		}
+		if tok.kind != tokIdent {
+			return nil, fmt.Errorf("textq: line %d: expected relation name, got %s", tok.line, tok)
+		}
+		name, line := tok.text, tok.line
+		if vals, tok, err = factArgs(lx, vals[:0]); err != nil {
+			return nil, err
+		}
+		if tok.kind != tokDot {
+			// Name the fact's line: the token in the dot's place is
+			// often the next line's fact.
+			return nil, fmt.Errorf("textq: line %d: expected '.' after the %s fact, got %s", line, name, tok)
+		}
+		in := d.Instance(name)
+		if in == nil {
+			return nil, fmt.Errorf("textq: line %d: unknown relation %s", line, name)
+		}
+		if err := in.AddStrings(vals); err != nil {
+			return nil, fmt.Errorf("textq: line %d: %w", line, err)
+		}
 	}
-	var ss []*relation.Schema
+}
+
+// factArgs scans a fact's "( v, v, … )" (possibly empty), appending the
+// value texts to vals, and returns them with the token after ')'.
+func factArgs(lx *lexer, vals []string) ([]string, token, error) {
+	tok, err := lx.next()
+	if err != nil {
+		return nil, token{}, err
+	}
+	if tok.kind != tokLParen {
+		return nil, token{}, fmt.Errorf("textq: line %d: expected '(', got %s", tok.line, tok)
+	}
+	if tok, err = lx.next(); err != nil {
+		return nil, token{}, err
+	}
+	if tok.kind != tokRParen {
+		for {
+			if tok.kind != tokIdent && tok.kind != tokString {
+				return nil, token{}, fmt.Errorf("textq: line %d: expected a term, got %s", tok.line, tok)
+			}
+			vals = append(vals, tok.text)
+			if tok, err = lx.next(); err != nil {
+				return nil, token{}, err
+			}
+			if tok.kind != tokComma {
+				break
+			}
+			if tok, err = lx.next(); err != nil {
+				return nil, token{}, err
+			}
+		}
+		if tok.kind != tokRParen {
+			return nil, token{}, fmt.Errorf("textq: line %d: expected ')', got %s", tok.line, tok)
+		}
+	}
+	tok, err = lx.next()
+	return vals, tok, err
+}
+
+// emptyDatabase returns a database with one empty instance per schema.
+func emptyDatabase(schemas map[string]*relation.Schema) *relation.Database {
+	ss := make([]*relation.Schema, 0, len(schemas))
 	for _, s := range schemas {
 		ss = append(ss, s)
 	}
-	d := relation.NewDatabase(ss...)
-	for p.tok.kind != tokEOF {
-		name, err := p.expect(tokIdent, "relation name")
-		if err != nil {
-			return nil, err
-		}
-		args, err := p.termList()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokDot, "'.'"); err != nil {
-			return nil, err
-		}
-		tup := make(relation.Tuple, len(args))
-		for i, a := range args {
-			// Facts carry constants only; identifiers that look like
-			// variables are read as constants of the same spelling.
-			if a.IsVar {
-				tup[i] = relation.Value(a.Name)
-			} else {
-				tup[i] = a.Val
-			}
-		}
-		if err := d.Add(name.text, tup); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
+	return relation.NewDatabase(ss...)
 }
 
 // rule is a parsed "Head(args) :- body" line.

@@ -74,15 +74,30 @@ F(1).
 
 func TestParseDatabaseErrors(t *testing.T) {
 	ss := mustSchemas(t)
-	for _, src := range []string{
-		"Supt(e0, sales, c1)",  // missing dot
-		"Supt(e0, sales).",     // arity
-		"Nope(a).",             // unknown relation
-		"F(7).",                // finite-domain violation
-		"Supt(e0, sales, 'c1'", // unterminated
+	// Every bad fact sits on line 3, after two good ones, and the error
+	// must name that line as well as what went wrong.
+	for _, tc := range []struct{ fact, want string }{
+		{"Supt(e0, sales, c1)", "expected '.'"},
+		{"Supt(e0, sales).", "expects arity 3"},
+		{"Supt(e0, sales, c1, c2).", "expects arity 3"},
+		{"Nope(a).", "unknown relation Nope"},
+		{"F(7).", "outside finite domain"},
+		{"Supt(e0, sales, 'c1).", "unterminated string"},
+		{"Supt(e0, sales, 'c1'", "expected ')'"},
+		{"Supt e0.", "expected '('"},
+		{"Supt(e0, = , c1).", "expected a term"},
+		{"Supt(e0 sales c1).", "expected ')'"},
+		{"(e0).", "expected relation name"},
+		{"Supt(e0, sales, c1) @", "unexpected character"},
 	} {
-		if _, err := ParseDatabase(src, ss); err == nil {
-			t.Errorf("accepted bad fact source %q", src)
+		src := "Supt(e0, sales, c1).\n# a comment line\n" + tc.fact
+		_, err := ParseDatabase(src, ss)
+		if err == nil {
+			t.Errorf("accepted bad fact %q", tc.fact)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "line 3") || !strings.Contains(msg, tc.want) {
+			t.Errorf("fact %q: error %q, want line 3 and %q", tc.fact, msg, tc.want)
 		}
 	}
 }
