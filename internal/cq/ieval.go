@@ -403,9 +403,13 @@ func (t *Tableau) evalGateInterned(d *relation.Database, g *query.Gate) (out []r
 	if !ok {
 		return nil, false, nil
 	}
+	// Distinct answers accumulate back to back in one id slice and
+	// materialize into one shared value array.
 	seen := make(map[string]bool)
-	var answers [][]int32
-	hbuf := make([]int32, len(t.Head))
+	w := len(t.Head)
+	var answers []int32
+	count := 0
+	hbuf := make([]int32, w)
 	var kbuf []byte
 	st.leaf = func() bool {
 		for i, h := range st.ip.head {
@@ -414,7 +418,8 @@ func (t *Tableau) evalGateInterned(d *relation.Database, g *query.Gate) (out []r
 		kbuf = relation.AppendIDKey(kbuf[:0], hbuf)
 		if !seen[string(kbuf)] {
 			seen[string(kbuf)] = true
-			answers = append(answers, append([]int32(nil), hbuf...))
+			answers = append(answers, hbuf...)
+			count++
 		}
 		return true
 	}
@@ -423,13 +428,13 @@ func (t *Tableau) evalGateInterned(d *relation.Database, g *query.Gate) (out []r
 	if err := gs.finish(); err != nil {
 		return nil, true, err
 	}
-	out = make([]relation.Tuple, len(answers))
-	for i, ids := range answers {
-		tp := make(relation.Tuple, len(ids))
-		for j, id := range ids {
-			tp[j] = st.vals[id]
-		}
-		out[i] = tp
+	out = make([]relation.Tuple, count)
+	vals := make([]relation.Value, len(answers))
+	for i, id := range answers {
+		vals[i] = st.vals[id]
+	}
+	for i := range out {
+		out[i] = relation.Tuple(vals[i*w : (i+1)*w : (i+1)*w])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out, true, nil

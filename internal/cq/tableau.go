@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -255,6 +256,10 @@ func (t *Tableau) ApplyIDs(rows [][]int32, schemas map[string]*relation.Schema, 
 // fragment returns an empty database over the templates' relations:
 // reuse emptied in place when it matches, otherwise a new one.
 func (t *Tableau) fragment(schemas map[string]*relation.Schema, reuse *relation.Database) (*relation.Database, error) {
+	if reuse != nil && t.fragmentMatches(reuse, schemas) {
+		reuse.Reset()
+		return reuse, nil
+	}
 	ss := make([]*relation.Schema, 0, len(t.Templates))
 outer:
 	for _, a := range t.Templates {
@@ -269,28 +274,27 @@ outer:
 		}
 		ss = append(ss, s)
 	}
-	if reuse != nil && fragmentMatches(reuse, ss) {
-		reuse.Reset()
-		return reuse, nil
-	}
 	return relation.NewDatabase(ss...), nil
 }
 
-// fragmentMatches reports whether db has exactly the schema list's
-// relations, with the same schema objects and the storage mode a fresh
-// build would use (a mismatch only arises when one tableau is applied
-// under different schema maps, or across a SetInterning flip).
-func fragmentMatches(db *relation.Database, ss []*relation.Schema) bool {
-	if len(db.Relations()) != len(ss) {
-		return false
-	}
-	for _, s := range ss {
-		in := db.Instance(s.Name)
-		if in == nil || in.Schema != s || in.Interned() != relation.InterningEnabled() {
+// fragmentMatches reports whether db has exactly the templates'
+// relations, with the schema objects of schemas and the storage mode a
+// fresh build would use (a mismatch only arises when one tableau is
+// applied under different schema maps, or across a SetInterning flip).
+// It allocates nothing: the decision procedures ask once per candidate
+// valuation.
+func (t *Tableau) fragmentMatches(db *relation.Database, schemas map[string]*relation.Schema) bool {
+	distinct := 0
+	for i, a := range t.Templates {
+		in := db.Instance(a.Rel)
+		if in == nil || in.Schema != schemas[a.Rel] || in.Interned() != relation.InterningEnabled() {
 			return false
 		}
+		if !slices.ContainsFunc(t.Templates[:i], func(b query.RelAtom) bool { return b.Rel == a.Rel }) {
+			distinct++
+		}
 	}
-	return true
+	return distinct == len(db.Relations())
 }
 
 // HeadTuple instantiates the output summary u_Q under a binding.

@@ -274,32 +274,39 @@ func ParseSchemas(src string) (map[string]*relation.Schema, error) {
 // (known relation, arity, finite-domain membership; a duplicate is a
 // no-op), and every error names the fact's line.
 //
-// The scan hands the fact's values to the instance as substrings of
-// src (relation.Instance.AddStrings): an interned instance resolves
-// them with one dictionary lock acquisition per fact and appends the
-// id row directly, so no term, tuple or value copy is built per fact.
+// A factScanner reads the text in place and hands each fact's values
+// to the instance as substrings of src (relation.Instance.AddStrings):
+// an interned instance resolves them with one dictionary lock
+// acquisition per fact and appends the id row directly, so no token,
+// term, tuple or value copy is built per fact.
 func ParseDatabase(src string, schemas map[string]*relation.Schema) (*relation.Database, error) {
 	d := emptyDatabase(schemas)
-	lx := newLexer(src)
+	sc := factScanner{src: src, line: 1}
 	var vals []string
 	for {
-		tok, err := lx.next()
-		if err != nil {
-			return nil, err
-		}
-		if tok.kind == tokEOF {
+		sc.skip()
+		if sc.pos == len(src) {
 			return d, nil
 		}
-		if tok.kind != tokIdent {
-			return nil, fmt.Errorf("textq: line %d: expected relation name, got %s", tok.line, tok)
+		line := sc.line
+		name, ok := sc.ident()
+		if !ok {
+			return nil, sc.unexpected("relation name")
 		}
-		name, line := tok.text, tok.line
-		if vals, tok, err = factArgs(lx, vals[:0]); err != nil {
+		if !sc.punct('(') {
+			return nil, sc.unexpected("'('")
+		}
+		var err error
+		if vals, err = sc.args(vals[:0]); err != nil {
 			return nil, err
 		}
-		if tok.kind != tokDot {
-			// Name the fact's line: the token in the dot's place is
+		if !sc.punct('.') {
+			// Name the fact's line: what stands in the dot's place is
 			// often the next line's fact.
+			tok, err := sc.peek()
+			if err != nil {
+				return nil, err
+			}
 			return nil, fmt.Errorf("textq: line %d: expected '.' after the %s fact, got %s", line, name, tok)
 		}
 		in := d.Instance(name)
@@ -312,41 +319,122 @@ func ParseDatabase(src string, schemas map[string]*relation.Schema) (*relation.D
 	}
 }
 
-// factArgs scans a fact's "( v, v, … )" (possibly empty), appending the
-// value texts to vals, and returns them with the token after ')'.
-func factArgs(lx *lexer, vals []string) ([]string, token, error) {
-	tok, err := lx.next()
+// factScanner reads fact text in place under the lexer's rules —
+// whitespace, # comments, identifier bytes, quoted constants — without
+// building tokens. Where the text holds something a fact cannot, the
+// lexer itself describes it (peek), so error messages and lexical
+// errors are the lexer's.
+type factScanner struct {
+	src  string
+	pos  int
+	line int
+}
+
+// skip advances over whitespace and comments.
+func (s *factScanner) skip() {
+	for s.pos < len(s.src) {
+		switch s.src[s.pos] {
+		case '\n':
+			s.line++
+			s.pos++
+		case ' ', '\t', '\r':
+			s.pos++
+		case '#':
+			for s.pos < len(s.src) && s.src[s.pos] != '\n' {
+				s.pos++
+			}
+		default:
+			return
+		}
+	}
+}
+
+// punct consumes the punctuation byte c after whitespace, reporting
+// whether it was there.
+func (s *factScanner) punct(c byte) bool {
+	s.skip()
+	if s.pos < len(s.src) && s.src[s.pos] == c {
+		s.pos++
+		return true
+	}
+	return false
+}
+
+// ident scans an identifier after whitespace.
+func (s *factScanner) ident() (string, bool) {
+	s.skip()
+	i := s.pos
+	for i < len(s.src) && identByte[s.src[i]] {
+		i++
+	}
+	if i == s.pos {
+		return "", false
+	}
+	v := s.src[s.pos:i]
+	s.pos = i
+	return v, true
+}
+
+// value scans a constant after whitespace: an identifier, or a quoted
+// constant's contents.
+func (s *factScanner) value() (string, bool) {
+	if v, ok := s.ident(); ok {
+		return v, true
+	}
+	if s.pos == len(s.src) {
+		return "", false
+	}
+	q := s.src[s.pos]
+	if q != '\'' && q != '"' {
+		return "", false
+	}
+	for i := s.pos + 1; i < len(s.src) && s.src[i] != '\n'; i++ {
+		if s.src[i] == q {
+			v := s.src[s.pos+1 : i]
+			s.pos = i + 1
+			return v, true
+		}
+	}
+	return "", false // unterminated; peek reports it
+}
+
+// args scans a fact's "( v, v, … )" after its '(' (possibly empty),
+// appending the value texts to vals.
+func (s *factScanner) args(vals []string) ([]string, error) {
+	if s.punct(')') {
+		return vals, nil
+	}
+	for {
+		v, ok := s.value()
+		if !ok {
+			return nil, s.unexpected("a term")
+		}
+		vals = append(vals, v)
+		if !s.punct(',') {
+			break
+		}
+	}
+	if !s.punct(')') {
+		return nil, s.unexpected("')'")
+	}
+	return vals, nil
+}
+
+// peek returns the lexer's token at the scan position, or its lexical
+// error.
+func (s *factScanner) peek() (token, error) {
+	lx := lexer{src: s.src, pos: s.pos, line: s.line}
+	return lx.next()
+}
+
+// unexpected reports that the scan position holds something other
+// than what.
+func (s *factScanner) unexpected(what string) error {
+	tok, err := s.peek()
 	if err != nil {
-		return nil, token{}, err
+		return err
 	}
-	if tok.kind != tokLParen {
-		return nil, token{}, fmt.Errorf("textq: line %d: expected '(', got %s", tok.line, tok)
-	}
-	if tok, err = lx.next(); err != nil {
-		return nil, token{}, err
-	}
-	if tok.kind != tokRParen {
-		for {
-			if tok.kind != tokIdent && tok.kind != tokString {
-				return nil, token{}, fmt.Errorf("textq: line %d: expected a term, got %s", tok.line, tok)
-			}
-			vals = append(vals, tok.text)
-			if tok, err = lx.next(); err != nil {
-				return nil, token{}, err
-			}
-			if tok.kind != tokComma {
-				break
-			}
-			if tok, err = lx.next(); err != nil {
-				return nil, token{}, err
-			}
-		}
-		if tok.kind != tokRParen {
-			return nil, token{}, fmt.Errorf("textq: line %d: expected ')', got %s", tok.line, tok)
-		}
-	}
-	tok, err = lx.next()
-	return vals, tok, err
+	return fmt.Errorf("textq: line %d: expected %s, got %s", tok.line, what, tok)
 }
 
 // emptyDatabase returns a database with one empty instance per schema.
