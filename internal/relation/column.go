@@ -96,17 +96,15 @@ func (b *Bitset) ForEach(fn func(rank int32) bool) bool {
 // compare-and-swap and never mutated after a column slot fills, so
 // concurrent readers of a quiescent instance need no locks.
 type postingSet struct {
-	gen   uint64
-	rank  []int32                      // rank (sorted position) -> row
-	scols [][]int32                    // [col][rank] -> id, in rank order
+	gen  uint64
+	rank []int32 // rank (sorted position) -> row
+	// scols[c][k] is the id in column c of the row at rank k. With two
+	// or more rows the columns are consecutive windows of one backing
+	// array, and scols[0] keeps the whole array as its capacity, so a
+	// set retired by Instance.Reset is rebuilt into its own rank and
+	// column storage (see buildPostingBase).
+	scols [][]int32
 	cols  []atomic.Pointer[postingCol] // lazily built per-column postings
-
-	// rankBuf and colBuf are the set's own storage behind rank and
-	// scols (a single-row set aliases the live columns instead). A set
-	// retired by Instance.Reset is rebuilt into them, which is what
-	// makes refilling a recycled Δ-fragment allocation-free.
-	rankBuf []int32
-	colBuf  []int32
 }
 
 // postingCol holds the posting containers of one column: for each
@@ -201,9 +199,18 @@ func growInt32(buf []int32, n int) []int32 {
 // generation rebuilds).
 func (in *Instance) buildPostingBase() *postingSet {
 	n, arity := in.n, len(in.cols)
+	var rankBuf, colBuf []int32
 	ps := in.retired.Swap(nil)
 	if ps == nil {
 		ps = &postingSet{}
+	} else {
+		// A single-row set's rank (oneRank) and columns (the live
+		// columns) have capacity one, and the rebuilds below write only
+		// with two or more rows, so only a set's own storage is reused.
+		rankBuf = ps.rank
+		if len(ps.scols) > 0 {
+			colBuf = ps.scols[0][:cap(ps.scols[0])]
+		}
 	}
 	ps.gen = in.gen
 	if cap(ps.scols) < arity {
@@ -216,8 +223,11 @@ func (in *Instance) buildPostingBase() *postingSet {
 	}
 	switch n {
 	case 0:
-		ps.rank = nil
+		ps.rank = rankBuf[:0]
 		clear(ps.scols)
+		if arity > 0 {
+			ps.scols[0] = colBuf[:0]
+		}
 		return ps
 	case 1:
 		ps.rank = oneRank
@@ -226,8 +236,7 @@ func (in *Instance) buildPostingBase() *postingSet {
 		}
 		return ps
 	}
-	ps.rankBuf = growInt32(ps.rankBuf, n)
-	rank := ps.rankBuf
+	rank := growInt32(rankBuf, n)
 	for r := range rank {
 		rank[r] = int32(r)
 	}
@@ -240,15 +249,21 @@ func (in *Instance) buildPostingBase() *postingSet {
 		}
 	}
 	ps.rank = rank
-	ps.colBuf = growInt32(ps.colBuf, n*arity)
-	for c := 0; c < arity; c++ {
-		sc := ps.colBuf[c*n : (c+1)*n : (c+1)*n]
-		for k, r := range rank {
-			sc[k] = in.cols[c][r]
-		}
-		ps.scols[c] = sc
-	}
+	fillRankCols(ps.scols, in.cols, rank, growInt32(colBuf, n*arity))
 	return ps
+}
+
+// fillRankCols writes each column's ids in rank order into consecutive
+// windows of backing, the layout postingSet.scols documents.
+func fillRankCols(scols, cols [][]int32, rank, backing []int32) {
+	n := len(rank)
+	for c := range scols {
+		sc := backing[c*n : (c+1)*n]
+		for k, r := range rank {
+			sc[k] = cols[c][r]
+		}
+		scols[c] = sc
+	}
 }
 
 // rowCompare orders two rows of an interned instance by their value
@@ -436,7 +451,10 @@ func (ix IDIndex) Rows() int { return len(ix.ps.rank) }
 
 // Col returns column c as ids in rank (deterministic tuple) order.
 // Callers must not modify it.
-func (ix IDIndex) Col(c int) []int32 { return ix.ps.scols[c] }
+func (ix IDIndex) Col(c int) []int32 {
+	sc := ix.ps.scols[c]
+	return sc[:len(sc):len(sc)]
+}
 
 // Postings returns the posting container of id in column c, building
 // the column's containers on first use.

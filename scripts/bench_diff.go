@@ -155,6 +155,11 @@ func diff(baseline map[string]record, baseOrder []string, current map[string]rec
 	}
 	fmt.Printf("bench_diff: %d baseline entries, %d current, machine-speed factor %.2f\n",
 		len(baseline), len(current), scale)
+	// Report how much of the baseline the gate actually times: entries
+	// under the floor are only checked for presence, and the speed
+	// factor is computed over the timed ones alone.
+	fmt.Printf("bench_diff: timed %d of %d baseline entries (floor %v); the rest are presence-checked only\n",
+		len(ratios), len(baseline), minDuration)
 
 	failed := false
 	for _, k := range baseOrder {
