@@ -12,6 +12,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -912,53 +913,46 @@ func (in *Instance) String() string {
 // It models both ordinary databases D over schema R and master data Dm
 // over schema Rm.
 type Database struct {
-	rels  map[string]*Instance
-	order []string    // sorted relation names
-	insts []*Instance // the instances in order's order, for map-free scans
+	// order holds the relation names sorted, and insts[i] the instance
+	// of relation order[i]: lookups binary-search the few names, and
+	// whole-database scans need no map iteration.
+	order []string
+	insts []*Instance
 }
 
 // NewDatabase returns a database with one empty instance per schema.
 func NewDatabase(schemas ...*Schema) *Database {
-	d := &Database{rels: make(map[string]*Instance, len(schemas))}
+	d := &Database{order: make([]string, 0, len(schemas)), insts: make([]*Instance, 0, len(schemas))}
 	for _, s := range schemas {
-		if _, dup := d.rels[s.Name]; dup {
-			panic(fmt.Sprintf("relation: duplicate schema %s", s.Name))
-		}
-		d.rels[s.Name] = NewInstance(s)
-		d.order = append(d.order, s.Name)
+		d.AddSchema(s)
 	}
-	d.reorder()
 	return d
 }
 
 // AddSchema adds an empty instance for a new schema.
 func (d *Database) AddSchema(s *Schema) {
-	if _, dup := d.rels[s.Name]; dup {
+	i, dup := slices.BinarySearch(d.order, s.Name)
+	if dup {
 		panic(fmt.Sprintf("relation: duplicate schema %s", s.Name))
 	}
-	d.rels[s.Name] = NewInstance(s)
-	d.order = append(d.order, s.Name)
-	d.reorder()
-}
-
-// reorder sorts the relation names and rebuilds insts to match.
-func (d *Database) reorder() {
-	sort.Strings(d.order)
-	d.insts = d.insts[:0]
-	for _, name := range d.order {
-		d.insts = append(d.insts, d.rels[name])
-	}
+	d.order = slices.Insert(d.order, i, s.Name)
+	d.insts = slices.Insert(d.insts, i, NewInstance(s))
 }
 
 // Relations returns the relation names in sorted order.
 func (d *Database) Relations() []string { return d.order }
 
 // Instance returns the instance of the named relation, or nil.
-func (d *Database) Instance(name string) *Instance { return d.rels[name] }
+func (d *Database) Instance(name string) *Instance {
+	if i, ok := slices.BinarySearch(d.order, name); ok {
+		return d.insts[i]
+	}
+	return nil
+}
 
 // Schema returns the schema of the named relation, or nil.
 func (d *Database) Schema(name string) *Schema {
-	if in := d.rels[name]; in != nil {
+	if in := d.Instance(name); in != nil {
 		return in.Schema
 	}
 	return nil
@@ -966,7 +960,7 @@ func (d *Database) Schema(name string) *Schema {
 
 // Add inserts a tuple into the named relation.
 func (d *Database) Add(rel string, t Tuple) error {
-	in := d.rels[rel]
+	in := d.Instance(rel)
 	if in == nil {
 		return fmt.Errorf("relation: unknown relation %s", rel)
 	}
@@ -982,20 +976,15 @@ func (d *Database) MustAdd(rel string, vals ...string) {
 
 // Contains reports whether the named relation holds the tuple.
 func (d *Database) Contains(rel string, t Tuple) bool {
-	in := d.rels[rel]
+	in := d.Instance(rel)
 	return in != nil && in.Contains(t)
 }
 
 // Clone returns a deep copy of the database (schemas shared).
 func (d *Database) Clone() *Database {
-	cp := &Database{
-		rels:  make(map[string]*Instance, len(d.rels)),
-		order: append([]string(nil), d.order...),
-		insts: make([]*Instance, len(d.insts)),
-	}
+	cp := &Database{order: slices.Clone(d.order), insts: make([]*Instance, len(d.insts))}
 	for i, in := range d.insts {
 		cp.insts[i] = in.Clone()
-		cp.rels[d.order[i]] = cp.insts[i]
 	}
 	return cp
 }
@@ -1016,12 +1005,14 @@ func (d *Database) Warm() {
 // UnionInto adds all tuples of o into d. Relations of o missing from d
 // are added with o's schema.
 func (d *Database) UnionInto(o *Database) {
-	for _, name := range o.order {
-		if _, ok := d.rels[name]; !ok {
-			d.AddSchema(o.rels[name].Schema)
+	for _, oin := range o.insts {
+		in := d.Instance(oin.Schema.Name)
+		if in == nil {
+			d.AddSchema(oin.Schema)
+			in = d.Instance(oin.Schema.Name)
 		}
-		for _, t := range o.rels[name].Tuples() {
-			d.rels[name].MustAdd(t)
+		for _, t := range oin.Tuples() {
+			in.MustAdd(t)
 		}
 	}
 }
@@ -1036,8 +1027,8 @@ func (d *Database) Union(o *Database) *Database {
 // SubsetOf reports whether d ⊆ o: every relation of d exists in o and is
 // tuple-wise contained.
 func (d *Database) SubsetOf(o *Database) bool {
-	for name, in := range d.rels {
-		oin := o.rels[name]
+	for i, in := range d.insts {
+		oin := o.Instance(d.order[i])
 		if oin == nil {
 			if in.Len() > 0 {
 				return false
@@ -1136,11 +1127,11 @@ func (in *Instance) valuesInto(seen map[Value]bool) {
 
 func (d *Database) String() string {
 	var b strings.Builder
-	for i, name := range d.order {
+	for i, in := range d.insts {
 		if i > 0 {
 			b.WriteString("\n")
 		}
-		b.WriteString(d.rels[name].String())
+		b.WriteString(in.String())
 	}
 	return b.String()
 }
