@@ -100,9 +100,10 @@ type postingSet struct {
 	rank []int32 // rank (sorted position) -> row
 	// scols[c][k] is the id in column c of the row at rank k. With two
 	// or more rows the columns are consecutive windows of one backing
-	// array, and scols[0] keeps the whole array as its capacity, so a
-	// set retired by Instance.Reset is rebuilt into its own rank and
-	// column storage (see buildPostingBase).
+	// array, and scols[0] keeps the whole array as its capacity (the
+	// other windows end at their own length), so a set retired by
+	// Instance.Reset is rebuilt into its own rank and column storage
+	// (see buildPostingBase).
 	scols [][]int32
 	cols  []atomic.Pointer[postingCol] // lazily built per-column postings
 }
@@ -258,7 +259,10 @@ func (in *Instance) buildPostingBase() *postingSet {
 func fillRankCols(scols, cols [][]int32, rank, backing []int32) {
 	n := len(rank)
 	for c := range scols {
-		sc := backing[c*n : (c+1)*n]
+		sc := backing[c*n : (c+1)*n : (c+1)*n]
+		if c == 0 {
+			sc = backing[:n]
+		}
 		for k, r := range rank {
 			sc[k] = cols[c][r]
 		}
@@ -451,10 +455,7 @@ func (ix IDIndex) Rows() int { return len(ix.ps.rank) }
 
 // Col returns column c as ids in rank (deterministic tuple) order.
 // Callers must not modify it.
-func (ix IDIndex) Col(c int) []int32 {
-	sc := ix.ps.scols[c]
-	return sc[:len(sc):len(sc)]
-}
+func (ix IDIndex) Col(c int) []int32 { return ix.ps.scols[c] }
 
 // Postings returns the posting container of id in column c, building
 // the column's containers on first use.
