@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -178,5 +179,45 @@ func TestAddStringsMatchesAdd(t *testing.T) {
 				t.Fatalf("interned=%v: AddStrings(%v) error %v, Add says %v", interned, bad, errStr, errVal)
 			}
 		}
+	}
+}
+
+// TestRecycledViewConcurrentReaders: after a Reset and refill, the
+// first concurrent readers race to build the new view; exactly one may
+// rebuild into the retired set, and every reader must see the same,
+// correct order.
+func TestRecycledViewConcurrentReaders(t *testing.T) {
+	prev := SetInterning(true)
+	t.Cleanup(func() { SetInterning(prev) })
+	s := NewSchema("R", Attr("a"), Attr("b"))
+	in := NewInstance(s)
+	for round := 0; round < 20; round++ {
+		in.Reset()
+		want := make([]Tuple, 0, 30)
+		for i := 0; i < 3+round; i++ {
+			tu := T(fmt.Sprintf("cr%02d", (i*13)%31), "x")
+			in.MustAdd(tu)
+			want = append(want, tu)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ix := in.IDs()
+				if ix.Rows() != len(want) {
+					t.Errorf("round %d: view has %d rows, want %d", round, ix.Rows(), len(want))
+					return
+				}
+				for k, id := range ix.Col(0) {
+					if Shared().Value(id) != want[k][0] {
+						t.Errorf("round %d: rank %d holds %q, want %q", round, k, Shared().Value(id), want[k][0])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
