@@ -52,7 +52,7 @@ func (c *crmFreshD) check(q qlang.Query) (*core.RCDPResult, error) {
 }
 
 // maxAllocsPerCRMCheck bounds the allocations of one server-shaped
-// CRM-400 Q0 check (fact parsing plus the Workers=1 check; ~1,240 now).
+// CRM-400 Q0 check (fact parsing plus the Workers=1 check; ~1,230 now).
 // Parsing allocates no term, tuple or value per fact, and each
 // candidate valuation's Δ is checked by a delta checker prepared once
 // per check in a recycled fragment, so an allocation per fact or per
