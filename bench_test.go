@@ -72,6 +72,24 @@ func BenchmarkRCDP_CQ_INDs_ForallExists(b *testing.B) {
 	}
 }
 
+// BenchmarkForallExistsQD times Q(D) alone — the answer set an RCDP
+// check evaluates before its valuation search starts — on the
+// sat-search shape (10 variables, 12 clauses, 5 universal), governed
+// as a served check is, and reports the join rows it charges.
+func BenchmarkForallExistsQD(b *testing.B) {
+	inst := forallExistsInstance(b, 10)
+	b.ReportAllocs()
+	var rows int64
+	for i := 0; i < b.N; i++ {
+		g := query.NewGate(context.Background(), 0, 0)
+		if _, err := inst.Q.EvalGate(inst.D, g); err != nil {
+			b.Fatal(err)
+		}
+		rows += g.Rows()
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+}
+
 func crmScenario(customers int) (*mdm.Scenario, *cc.Set) {
 	cfg := mdm.DefaultConfig()
 	cfg.DomesticCustomers = customers

@@ -85,6 +85,8 @@ func run() error {
 		reprobe       = flag.Duration("reprobe", 0, "with -route: how often an ejected backend is probed for re-admission (0 = 5s)")
 		retryAfter    = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight checks")
+		headerTimeout = flag.Duration("read-header-timeout", obs.DefaultReadHeaderTimeout, "close a connection whose request headers take longer than this (both listeners; 0 = no limit)")
+		idleTimeout   = flag.Duration("idle-timeout", obs.DefaultIdleTimeout, "close a keep-alive connection idle for longer than this (both listeners; 0 = no limit)")
 		metricsAddr   = flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/pprof, /healthz and /readyz on this address (e.g. :9090)")
 		tracePath     = flag.String("trace", "", "append JSONL request/search-trace events to this file")
 	)
@@ -133,14 +135,14 @@ func run() error {
 		}
 		obs.SetReady(func() bool { return !rt.Draining() })
 		if *metricsAddr != "" {
-			maddr, err := obs.Serve(*metricsAddr)
+			maddr, err := obs.ServeTimeouts(*metricsAddr, *headerTimeout, *idleTimeout)
 			if err != nil {
 				return fmt.Errorf("-metrics: %w", err)
 			}
 			fmt.Fprintf(os.Stderr, "relserve: metrics on http://%s/metrics\n", maddr)
 		}
 		banner := fmt.Sprintf("routing to %d backends (fanout=%v)", len(backends), *fanout)
-		return serveUntilSignal(rt.Handler(), *addr, *addrFile, *drainTimeout, banner, rt.Drain)
+		return serveUntilSignal(obs.NewServer(rt.Handler(), *headerTimeout, *idleTimeout), *addr, *addrFile, *drainTimeout, banner, rt.Drain)
 	}
 
 	srv := server.New(server.Config{
@@ -177,7 +179,7 @@ func run() error {
 	// /readyz flips to 503 on both listeners.
 	obs.SetReady(func() bool { return !srv.Draining() })
 	if *metricsAddr != "" {
-		maddr, err := obs.Serve(*metricsAddr)
+		maddr, err := obs.ServeTimeouts(*metricsAddr, *headerTimeout, *idleTimeout)
 		if err != nil {
 			return fmt.Errorf("-metrics: %w", err)
 		}
@@ -185,12 +187,12 @@ func run() error {
 	}
 
 	banner := fmt.Sprintf("workers=%d, queue capacity=%d", *workers, srv.Capacity())
-	return serveUntilSignal(srv.Handler(), *addr, *addrFile, *drainTimeout, banner, srv.Drain)
+	return serveUntilSignal(obs.NewServer(srv.Handler(), *headerTimeout, *idleTimeout), *addr, *addrFile, *drainTimeout, banner, srv.Drain)
 }
 
-// serveUntilSignal binds addr, serves h, and on SIGTERM/SIGINT drains
+// serveUntilSignal binds addr, serves httpSrv, and on SIGTERM/SIGINT drains
 // via drain (backend or router mode) before exiting cleanly.
-func serveUntilSignal(h http.Handler, addr, addrFile string, drainTimeout time.Duration, banner string, drain func(context.Context) error) error {
+func serveUntilSignal(httpSrv *http.Server, addr, addrFile string, drainTimeout time.Duration, banner string, drain func(context.Context) error) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -203,7 +205,6 @@ func serveUntilSignal(h http.Handler, addr, addrFile string, drainTimeout time.D
 		}
 	}
 
-	httpSrv := &http.Server{Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

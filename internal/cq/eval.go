@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -39,7 +40,9 @@ func (q *CQ) Eval(d *relation.Database) []relation.Tuple {
 // row-step per candidate tuple and stops with the gate's error as soon
 // as the budget trips or the context is cancelled. Answers computed
 // before the stop are discarded (a partial answer set is not a sound
-// answer set).
+// answer set). Each distinct answer is enumerated through one witness
+// only (the head cut, see Tableau.EvalGate), so the charges count the
+// rows needed to settle the answer set, not every match.
 func (q *CQ) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tuple, error) {
 	t, err := q.Compiled()
 	if err != nil {
@@ -61,27 +64,112 @@ func (t *Tableau) Eval(d *relation.Database) []relation.Tuple {
 	return out
 }
 
-// EvalGate is Eval under gate governance (see CQ.EvalGate).
+// EvalGate is Eval under gate governance (see CQ.EvalGate). It needs
+// one witness per answer, not every match, and cuts the join to match:
+// once the plan has bound every head variable (headCutDepth), a head
+// row that is already an answer skips its subtree, and a new one is
+// enumerated only to its first complete match, recorded, and the join
+// resumes at the cut level. Answers, their order and the gate's error
+// semantics are those of a full enumeration; only the rows charged
+// shrink. EvalFunc*, the differential join and DeltaJoin enumerate
+// every match.
 func (t *Tableau) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tuple, error) {
 	if out, handled, err := t.evalGateInterned(d, g); handled {
 		return out, err
 	}
-	results := make(map[string]relation.Tuple)
-	err := t.EvalFuncGate(d, g, func(b query.Binding) bool {
-		if h, ok := t.HeadTuple(b); ok {
-			results[h.Key()] = h
-		}
-		return true // keep enumerating
-	})
-	if err != nil {
+	hc := &headCut{t: t, depth: -1, results: make(map[string]relation.Tuple), hbuf: make(relation.Tuple, len(t.Head))}
+	if err := t.evalLegacy(d, g, hc.leaf, hc); err != nil {
 		return nil, err
 	}
-	out := make([]relation.Tuple, 0, len(results))
-	for _, tup := range results {
+	out := make([]relation.Tuple, 0, len(hc.results))
+	for _, tup := range hc.results {
 		out = append(out, tup)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out, nil
+}
+
+// headCutDepth returns the plan position of EvalGate's head cut for a
+// join order: the first k such that templates order[:k] bind every
+// head variable, after which every match of a subtree has the same
+// head row. It is 0 for a Boolean or all-constant head, and -1 (no
+// cut) when only the last template completes the head or some head
+// variable is bound by no template. Both engines take the cut here.
+func (t *Tableau) headCutDepth(order []int) int {
+	depth := 0
+	for _, h := range t.Head {
+		if !h.IsVar {
+			continue
+		}
+		k := slices.IndexFunc(order, func(ti int) bool {
+			return slices.ContainsFunc(t.Templates[ti].Args, func(a query.Term) bool {
+				return a.IsVar && a.Name == h.Name
+			})
+		})
+		if k < 0 {
+			return -1
+		}
+		depth = max(depth, k+1)
+	}
+	if depth == len(order) {
+		return -1
+	}
+	return depth
+}
+
+// cutSignal is the head cut's "subtree settled" signal, kept apart
+// from the join's stop return: a leaf below the cut records its head
+// row, sets settled and returns false to unwind the join to the cut,
+// where resume clears it and enumeration continues. A false return
+// with settled clear is a gate trip or a caller stop and keeps
+// unwinding.
+type cutSignal struct{ settled bool }
+
+// resume reports whether a stop that reached the cut level was the
+// settled signal (consuming it) rather than a stop of the whole join.
+func (c *cutSignal) resume() bool {
+	if !c.settled {
+		return false
+	}
+	c.settled = false
+	return true
+}
+
+// headCut is EvalGate's answer set on the legacy engine, together with
+// the state of the head cut that consults it.
+type headCut struct {
+	cutSignal
+	t       *Tableau
+	depth   int // plan position of the cut; -1 = none
+	results map[string]relation.Tuple
+	hbuf    relation.Tuple // the head row at the cut
+	kbuf    []byte         // hbuf's Key
+}
+
+// answered loads the head row under b into hbuf and kbuf and reports
+// whether it is already an answer.
+func (hc *headCut) answered(b query.Binding) bool {
+	for i, h := range hc.t.Head {
+		hc.hbuf[i], _ = b.Resolve(h)
+	}
+	hc.kbuf = hc.hbuf.AppendKey(hc.kbuf[:0])
+	_, ok := hc.results[string(hc.kbuf)]
+	return ok
+}
+
+// leaf records the head row of a complete match. Below a cut that row
+// is the one answered loaded, new by its test, so the leaf stores it
+// and reports the subtree settled, which unwinds the join to the cut.
+func (hc *headCut) leaf(b query.Binding) bool {
+	if hc.depth < 0 {
+		if h, ok := hc.t.HeadTuple(b); ok {
+			hc.results[h.Key()] = h
+		}
+		return true
+	}
+	hc.results[string(hc.kbuf)] = hc.hbuf.Clone()
+	hc.settled = true
+	return false
 }
 
 // EvalFunc enumerates all satisfying bindings of the tableau over d,
@@ -95,6 +183,15 @@ func (t *Tableau) EvalFunc(d *relation.Database, fn func(query.Binding) bool) {
 // enumerated by the join charges one row-step on g, and the first gate
 // error aborts enumeration and is returned. A nil gate is free.
 func (t *Tableau) EvalFuncGate(d *relation.Database, g *query.Gate, fn func(query.Binding) bool) error {
+	if handled, err := t.evalFuncInterned(d, g, fn); handled {
+		return err
+	}
+	return t.evalLegacy(d, g, fn, nil)
+}
+
+// evalLegacy runs the legacy engine's join, under EvalGate's head cut
+// when hc is non-nil.
+func (t *Tableau) evalLegacy(d *relation.Database, g *query.Gate, fn func(query.Binding) bool, hc *headCut) error {
 	if len(t.Templates) == 0 {
 		// A query without relation atoms never arises from Validate'd
 		// input, but handle it as "true once" if diseqs hold on the
@@ -105,14 +202,14 @@ func (t *Tableau) EvalFuncGate(d *relation.Database, g *query.Gate, fn func(quer
 		}
 		return nil
 	}
-	if handled, err := t.evalFuncInterned(d, g, fn); handled {
-		return err
-	}
 	order := t.planOrder(d)
+	if hc != nil {
+		hc.depth = t.headCutDepth(order)
+	}
 	b := make(query.Binding, len(t.Vars))
 	gs := gate(g)
 	var es evalStats
-	t.join(d, order, 0, b, fn, gs, &es)
+	t.join(d, order, 0, b, fn, gs, &es, hc)
 	es.flush()
 	return gs.finish()
 }
@@ -349,13 +446,19 @@ func bestBoundArg(in *relation.Instance, atom query.RelAtom, b query.Binding) (i
 	return best, bestVal, best >= 0
 }
 
-// join recursively matches template order[k] against the database.
-func (t *Tableau) join(d *relation.Database, order []int, k int, b query.Binding, fn func(query.Binding) bool, gs *gateState, es *evalStats) bool {
+// join recursively matches template order[k] against the database. At
+// EvalGate's cut level (hc non-nil, k == hc.depth) a settled head row
+// skips the subtree, and a new one stops at its first match.
+func (t *Tableau) join(d *relation.Database, order []int, k int, b query.Binding, fn func(query.Binding) bool, gs *gateState, es *evalStats, hc *headCut) bool {
 	if k == len(order) {
 		if !t.DiseqsHold(b) {
 			return true
 		}
 		return fn(b)
+	}
+	cut := hc != nil && k == hc.depth
+	if cut && hc.answered(b) {
+		return true
 	}
 	atom := t.Templates[order[k]]
 	in := d.Instance(atom.Rel)
@@ -380,13 +483,13 @@ func (t *Tableau) join(d *relation.Database, order []int, k int, b query.Binding
 		}
 		cont := true
 		if ok {
-			cont = t.join(d, order, k+1, b, fn, gs, es)
+			cont = t.join(d, order, k+1, b, fn, gs, es, hc)
 		}
 		for _, v := range newly {
 			delete(b, v)
 		}
 		if !cont {
-			return false
+			return cut && hc.resume()
 		}
 	}
 	return true

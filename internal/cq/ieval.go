@@ -14,7 +14,11 @@ import (
 // buckets. The two engines must be observably identical — answer sets,
 // enumeration order, row/probe/scan counts, gate charges — because the
 // legacy path doubles as the correctness oracle (SetInterning ablation)
-// and the decision procedures compare BudgetStats across both.
+// and the decision procedures compare BudgetStats across both. That
+// includes EvalGate's head cut: both engines take it at the plan
+// position Tableau.headCutDepth computes, skip the same settled
+// subtrees and stop each new answer's subtree at the same first match,
+// so a cut evaluation charges the same rows in either engine.
 
 // iterm is one compiled term: a non-negative value is an index into the
 // tableau's sorted Vars (a slot), a negative value encodes a constant
@@ -109,6 +113,11 @@ type ijoin struct {
 	gs   *gateState
 	es   *evalStats
 	leaf func() bool
+
+	// EvalGate's head cut (Tableau.headCutDepth): at plan position cut
+	// (-1 = none) run consults the answer set ans.
+	cut int
+	ans *ianswers
 }
 
 // isetup compiles the fast-path preconditions: interning on, a usable
@@ -143,6 +152,7 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) (*i
 		trail: ibuf[nc+nv : nc+nv : nc+2*nv],
 		gs:    gs,
 		es:    es,
+		cut:   -1,
 	}
 	for i, a := range t.Templates {
 		in := d.Instance(a.Rel)
@@ -221,16 +231,24 @@ func (st *ijoin) next(f iframe) bool {
 	return st.run(f.order, f.k+1)
 }
 
-// run recursively matches template order[k], mirroring Tableau.join.
+// run recursively matches template order[k], mirroring Tableau.join,
+// head cut included.
 func (st *ijoin) run(order []int, k int) bool {
 	if k == len(order) {
 		return st.leaf()
+	}
+	cut := k == st.cut
+	if cut && st.ans.answered(st) {
+		return true
 	}
 	ti := order[k]
 	if st.ins[ti] == nil {
 		return true
 	}
-	return st.enum(st.ixs[ti], st.ip.tmpls[ti], iframe{order: order, k: k})
+	if st.enum(st.ixs[ti], st.ip.tmpls[ti], iframe{order: order, k: k}) {
+		return true
+	}
+	return cut && st.ans.resume()
 }
 
 // runDelta mirrors Tableau.joinDelta: template idx[k] reads only delta
@@ -392,10 +410,56 @@ func (st *ijoin) tryRank(ix relation.IDIndex, args []iterm, rank int32, f iframe
 	return cont
 }
 
-// evalGateInterned is the fast path of EvalGate: answers dedup on
-// fixed-width id-keys (no per-leaf Binding, HeadTuple or string Key)
-// and materialize to sorted tuples once at the end. handled=false
-// falls back to the legacy engine.
+// ianswers is EvalGate's answer set on the interned engine: distinct
+// head rows deduplicated on fixed-width id-keys (no per-leaf Binding,
+// HeadTuple or string Key) and stored back to back, together with the
+// state of the head cut that consults it.
+type ianswers struct {
+	cutSignal
+	seen  map[string]bool
+	rows  []int32
+	count int
+	hbuf  []int32 // the current head row
+	kbuf  []byte  // hbuf's id-key
+}
+
+// answered loads the current head row into hbuf and kbuf and reports
+// whether it is already an answer.
+func (a *ianswers) answered(st *ijoin) bool {
+	for i, h := range st.ip.head {
+		a.hbuf[i], _ = st.resolve(h)
+	}
+	a.kbuf = relation.AppendIDKey(a.kbuf[:0], a.hbuf)
+	return a.seen[string(a.kbuf)]
+}
+
+// add records the row in hbuf and kbuf as an answer.
+func (a *ianswers) add() {
+	a.seen[string(a.kbuf)] = true
+	a.rows = append(a.rows, a.hbuf...)
+	a.count++
+}
+
+// answerLeaf is EvalGate's leaf. Without a cut it records the match's
+// head row if new. Below a cut the row is the one answered loaded at
+// the cut, new by its test: the leaf records it and reports the
+// subtree settled, which unwinds the join to the cut.
+func (st *ijoin) answerLeaf() bool {
+	a := st.ans
+	if st.cut < 0 {
+		if !a.answered(st) {
+			a.add()
+		}
+		return true
+	}
+	a.add()
+	a.settled = true
+	return false
+}
+
+// evalGateInterned is the fast path of EvalGate: answers accumulate in
+// an ianswers set and materialize to sorted tuples once at the end.
+// handled=false falls back to the legacy engine.
 func (t *Tableau) evalGateInterned(d *relation.Database, g *query.Gate) (out []relation.Tuple, handled bool, err error) {
 	gs := gate(g)
 	var es evalStats
@@ -403,34 +467,20 @@ func (t *Tableau) evalGateInterned(d *relation.Database, g *query.Gate) (out []r
 	if !ok {
 		return nil, false, nil
 	}
-	// Distinct answers accumulate back to back in one id slice and
-	// materialize into one shared value array.
-	seen := make(map[string]bool)
 	w := len(t.Head)
-	var answers []int32
-	count := 0
-	hbuf := make([]int32, w)
-	var kbuf []byte
-	st.leaf = func() bool {
-		for i, h := range st.ip.head {
-			hbuf[i], _ = st.resolve(h)
-		}
-		kbuf = relation.AppendIDKey(kbuf[:0], hbuf)
-		if !seen[string(kbuf)] {
-			seen[string(kbuf)] = true
-			answers = append(answers, hbuf...)
-			count++
-		}
-		return true
-	}
-	st.run(t.planOrder(d), 0)
+	a := &ianswers{seen: make(map[string]bool), hbuf: make([]int32, w)}
+	order := t.planOrder(d)
+	st.ans, st.cut = a, t.headCutDepth(order)
+	st.leaf = st.answerLeaf
+	st.run(order, 0)
 	es.flush()
 	if err := gs.finish(); err != nil {
 		return nil, true, err
 	}
-	out = make([]relation.Tuple, count)
-	vals := make([]relation.Value, len(answers))
-	for i, id := range answers {
+	// The distinct answers materialize into one shared value array.
+	out = make([]relation.Tuple, a.count)
+	vals := make([]relation.Value, len(a.rows))
+	for i, id := range a.rows {
 		vals[i] = st.vals[id]
 	}
 	for i := range out {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // publishOnce guards the expvar publication of the Default registry:
@@ -98,16 +99,39 @@ func ReadyzHandler(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte("ok\n"))
 }
 
+// Default timeouts of the HTTP listeners built by NewServer: how long a
+// client may take to send a request's headers, and how long an idle
+// keep-alive connection stays open. Without them a client that never
+// finishes its headers holds a connection, and its goroutine, forever.
+const (
+	DefaultReadHeaderTimeout = 10 * time.Second
+	DefaultIdleTimeout       = 2 * time.Minute
+)
+
+// NewServer returns an http.Server for h that closes a connection whose
+// request headers take longer than readHeader to arrive, or that sits
+// idle between requests for longer than idle (0 = no limit). Request
+// bodies are capped by the handlers (http.MaxBytesReader), not here.
+func NewServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
+}
+
 // Serve starts the observability endpoint on addr in a background
-// goroutine and returns the bound address (useful with ":0"). The
-// server runs until the process exits — the CLIs expose it for the
-// duration of a check.
+// goroutine, with the default timeouts, and returns the bound address
+// (useful with ":0"). The server runs until the process exits — the
+// CLIs expose it for the duration of a check.
 func Serve(addr string) (net.Addr, error) {
+	return ServeTimeouts(addr, DefaultReadHeaderTimeout, DefaultIdleTimeout)
+}
+
+// ServeTimeouts is Serve with explicit header-read and idle timeouts
+// (see NewServer).
+func ServeTimeouts(addr string, readHeader, idle time.Duration) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: Handler()}
+	srv := NewServer(Handler(), readHeader, idle)
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr(), nil
 }

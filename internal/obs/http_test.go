@@ -1,14 +1,17 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestHandlerMetrics(t *testing.T) {
@@ -86,6 +89,65 @@ func TestServe(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(body), "relcomp_core_checks_total") {
 		t.Fatal("served /metrics missing engine metrics")
+	}
+}
+
+// TestServeSlowHeaderClosed drives the listener timeouts NewServer sets
+// (relserve's API listener is built the same way): a client that never
+// finishes its request headers is disconnected once the header timeout
+// passes, and a keep-alive connection is closed after sitting idle.
+func TestServeSlowHeaderClosed(t *testing.T) {
+	addr, err := ServeTimeouts("127.0.0.1:0", 100*time.Millisecond, 200*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// closedWithin reports how long the server took to close conn.
+	closedWithin := func(conn net.Conn, r io.Reader) time.Duration {
+		t.Helper()
+		start := time.Now()
+		if err := conn.SetReadDeadline(start.Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := r.Read(make([]byte, 64)); err != io.EOF {
+			t.Fatalf("read %d bytes, err %v; want the server to close the connection", n, err)
+		}
+		return time.Since(start)
+	}
+
+	slow, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := io.WriteString(slow, "GET /healthz HTTP/1.1\r\nHost: obs\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if d := closedWithin(slow, slow); d > 5*time.Second {
+		t.Errorf("slow-header connection closed after %v, want about 100ms", d)
+	}
+
+	idle, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	if _, err := io.WriteString(idle, "GET /healthz HTTP/1.1\r\nHost: obs\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(idle)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Close {
+		t.Fatalf("status %d, close %v; want a kept-alive 200", resp.StatusCode, resp.Close)
+	}
+	if d := closedWithin(idle, br); d > 5*time.Second {
+		t.Errorf("idle connection closed after %v, want about 200ms", d)
 	}
 }
 

@@ -183,13 +183,18 @@ func (t Tuple) Key() string {
 	for _, v := range t {
 		n += len(v) + 4 // value plus decimal length prefix and ':'
 	}
-	b := make([]byte, 0, n)
+	return string(t.AppendKey(make([]byte, 0, n)))
+}
+
+// AppendKey appends the tuple's Key encoding to dst, so a caller that
+// only probes a Key-indexed map can reuse one scratch buffer.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
-		b = strconv.AppendInt(b, int64(len(v)), 10)
-		b = append(b, ':')
-		b = append(b, string(v)...)
+		dst = strconv.AppendInt(dst, int64(len(v)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, string(v)...)
 	}
-	return string(b)
+	return dst
 }
 
 // Equal reports component-wise equality.
