@@ -18,11 +18,11 @@ test:
 # Shared-state code paths run under the race detector: the parallel
 # valuation search (core), the admission-controlled serving layer
 # (server), the cross-request caches it leans on (cq compiled tableaux,
-# cc p(Dm) memoization), and the interned storage layer (relation: the
-# shared dictionary, its sort-order cache, and the lazy posting-list
-# builds), including the interned-vs-legacy cross-validation suites,
-# and the approximation engine (approx: oracle calls fan out through
-# the same worker pool) plus the constraint miner (mine: its oracle
+# cc p(Dm) memoization), and the storage layer (relation: the shared
+# dictionary, its sort-order cache, and the lazy posting-list builds),
+# including the suites that check them against naive oracles, and the
+# approximation engine (approx: oracle calls fan out through the same
+# worker pool) plus the constraint miner (mine: its oracle
 # re-validation runs the parallel checker across evidence pairs).
 race:
 	$(GO) test -race ./internal/core/... ./internal/server/... ./internal/cq/... ./internal/cc/... ./internal/relation/... ./internal/approx/... ./internal/mine/...
@@ -76,14 +76,11 @@ bench:
 
 # One iteration of every benchmark in every package: catches bit-rotted
 # benchmark code in CI without paying for real measurement runs. The
-# relbench smoke runs both storage engines — interned columnar (the
-# default) and the -nointern string-map ablation — so a regression in
-# either representation, or in their agreement, surfaces here.
+# relbench smoke runs every quick sweep once, oracle checks included.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 	$(GO) build -o /tmp/relbench-smoke ./cmd/relbench
 	/tmp/relbench-smoke -quick -json > /dev/null
-	/tmp/relbench-smoke -quick -json -nointern > /dev/null
 	rm -f /tmp/relbench-smoke
 
 # Bench-regression gate: three quick single-worker relbench runs are
@@ -146,9 +143,10 @@ vuln:
 		echo "vuln: govulncheck not installed; skipping"; \
 	fi
 
-# Native fuzz smoke: each textq fuzz target runs for a short budget
-# (go test accepts one -fuzz pattern per invocation), catching
-# parser/formatter regressions without a long fuzz session.
+# Native fuzz smoke: each fuzz target runs for a short budget (go test
+# accepts one -fuzz pattern per invocation), catching parser/formatter
+# regressions and join-engine disagreements with the naive evaluator
+# without a long fuzz session.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseSchemas -fuzztime=$(FUZZTIME)
@@ -157,6 +155,7 @@ fuzz-smoke:
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseConstraints -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzMutationBatch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mine/ -run='^$$' -fuzz=FuzzMineEvidence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cq/ -run='^$$' -fuzz=FuzzEvalNaive -fuzztime=$(FUZZTIME)
 
 # Coverage floors for the decision-procedure packages (set ~2 points
 # under the measured coverage at the time the floor was introduced so

@@ -80,9 +80,8 @@ func genProblem(t *testing.T) *textq.Problem {
 	})
 }
 
-// rebuildProblem reconstructs the problem's databases in fresh storage
-// under the current SetInterning mode (storage representation is fixed
-// at construction; see the core intern ablation suite).
+// rebuildProblem copies the problem's databases into fresh storage,
+// so each subtest starts with cold indexes and caches.
 func rebuildProblem(t *testing.T, p *textq.Problem) (*relation.Database, *relation.Database) {
 	t.Helper()
 	return rebuildDB(t, p.D), rebuildDB(t, p.Dm)
@@ -109,26 +108,18 @@ func rebuildDB(t *testing.T, db *relation.Database) *relation.Database {
 	return nd
 }
 
-// forEachEngine runs fn across Workers 1/8 × interned/legacy storage —
-// the matrix the approximation properties must hold on.
+// forEachEngine runs fn at Workers 1 and 8, the configurations the
+// approximation properties must hold on. The subtests keep the
+// "interned/" level of their names from when a second storage layout
+// also ran; interned columnar storage is the only one now.
 func forEachEngine(t *testing.T, fn func(t *testing.T, workers int)) {
-	defer relation.SetInterning(relation.SetInterning(true))
-	for _, interned := range []bool{true, false} {
-		for _, workers := range []int{1, 8} {
-			name := "legacy"
-			if interned {
-				name = "interned"
-			}
-			if workers == 1 {
-				name += "/seq"
-			} else {
-				name += "/par8"
-			}
-			relation.SetInterning(interned)
-			t.Run(name, func(t *testing.T) { fn(t, workers) })
+	for _, workers := range []int{1, 8} {
+		name := "interned/par8"
+		if workers == 1 {
+			name = "interned/seq"
 		}
+		t.Run(name, func(t *testing.T) { fn(t, workers) })
 	}
-	relation.SetInterning(true)
 }
 
 // TestApproximateSpecializationsCertified pins the central contract:

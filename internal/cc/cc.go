@@ -114,10 +114,9 @@ type projCache struct {
 	inst *relation.Instance
 	gen  uint64
 	rhs  map[string]bool
-	// rhsIDs keys the same set on fixed-width interned id-keys over the
-	// shared dictionary, for the integer delta path; nil when the
-	// projected instance uses legacy string storage, which sends the
-	// delta check back to the string engine.
+	// rhsIDs keys the same set on fixed-width id-keys over the shared
+	// dictionary, for the differential check's id heads; nil (the
+	// empty set) when the master side is empty or absent.
 	rhsIDs map[string]bool
 }
 
@@ -143,11 +142,8 @@ func (c *Constraint) masterCache(dm *relation.Database) *projCache {
 		obs.Emit("pdm_build", map[string]any{"constraint": c.Name, "rel": c.P.Rel})
 	}
 	pc := &projCache{inst: in, gen: gen, rhs: c.P.Eval(dm)}
-	if in == nil {
-		// Empty or absent master side: the id form is the empty set.
-		pc.rhsIDs = map[string]bool{}
-	} else if ids, ok := in.ProjectIDSet(c.P.Cols); ok {
-		pc.rhsIDs = ids
+	if in != nil {
+		pc.rhsIDs = in.ProjectIDSet(c.P.Cols)
 	}
 	c.pcache.Store(pc)
 	return pc
@@ -160,11 +156,9 @@ func (c *Constraint) masterSide(dm *relation.Database) map[string]bool {
 
 // MasterIDKeys returns p(Dm) as the memoized set of fixed-width id-keys
 // over the shared dictionary (relation.AppendIDKey of each projected
-// row; see masterCache). ok is false when the projected master
-// instance uses legacy string storage and no id form exists.
-func (c *Constraint) MasterIDKeys(dm *relation.Database) (keys map[string]bool, ok bool) {
-	pc := c.masterCache(dm)
-	return pc.rhsIDs, pc.rhsIDs != nil
+// row; see masterCache).
+func (c *Constraint) MasterIDKeys(dm *relation.Database) map[string]bool {
+	return c.masterCache(dm).rhsIDs
 }
 
 // New builds a containment constraint.

@@ -35,11 +35,9 @@ type deltaCheck struct {
 	// union marks a non-monotone constraint, re-evaluated over D ∪ Δ.
 	union bool
 	pc    *projCache
-	// tableaux are the constraint query's tableaux; joins[i] is the
-	// prepared join of tableaux[i], nil when only the Binding path can
-	// serve it (legacy storage on the master or database side).
-	tableaux []*cq.Tableau
-	joins    []*cq.DeltaJoin
+	// joins[i] is the prepared join of the constraint query's i-th
+	// tableau.
+	joins []*cq.DeltaJoin
 }
 
 // PrepareDelta prepares the differential constraint check of the set
@@ -65,15 +63,10 @@ func (s *Set) PrepareDelta(d, dm *relation.Database) *DeltaChecker {
 			continue
 		}
 		ch.pc = c.masterCache(dm)
-		ch.tableaux = c.Q.Tableaux()
-		ch.joins = make([]*cq.DeltaJoin, len(ch.tableaux))
-		if ch.pc.rhsIDs == nil {
-			continue
-		}
-		for ti, t := range ch.tableaux {
-			if dj, ok := t.PrepareDelta(d); ok {
-				ch.joins[ti] = dj
-			}
+		tableaux := c.Q.Tableaux()
+		ch.joins = make([]*cq.DeltaJoin, len(tableaux))
+		for ti, t := range tableaux {
+			ch.joins[ti] = t.PrepareDelta(d)
 		}
 	}
 	return dc
@@ -91,9 +84,7 @@ func (dc *DeltaChecker) Clone() *DeltaChecker {
 		}
 		c.checks[i].joins = make([]*cq.DeltaJoin, len(ch.joins))
 		for ti, dj := range ch.joins {
-			if dj != nil {
-				c.checks[i].joins[ti] = dj.Clone()
-			}
+			c.checks[i].joins[ti] = dj.Clone()
 		}
 	}
 	return c
@@ -132,40 +123,15 @@ func (ch *deltaCheck) satisfied(dc *DeltaChecker, delta *relation.Database, g *q
 	case ch.union:
 		return ch.c.satisfiedUnion(dc.d, delta, dc.dm, g)
 	}
-	for ti, t := range ch.tableaux {
-		if dj := ch.joins[ti]; dj != nil {
-			// Integer fast path: heads arrive as interned ids and
-			// membership is one fixed-width key probe — no Binding,
-			// HeadTuple or string Key per differential match.
-			dc.rhsIDs, dc.violated = ch.pc.rhsIDs, false
-			handled, err := dj.Run(delta, g, dc.onHead)
-			dc.rhsIDs = nil
-			if err != nil {
-				return false, err
-			}
-			if handled {
-				if dc.violated {
-					return false, nil
-				}
-				continue
-			}
-		}
-		violated := false
-		err := t.EvalFuncDeltaGate(dc.d, delta, g, func(b query.Binding) bool {
-			h, ok := t.HeadTuple(b)
-			if !ok {
-				return true
-			}
-			if !ch.pc.rhs[h.Key()] {
-				violated = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
+	// Heads arrive as ids and membership is one fixed-width key probe —
+	// no Binding, HeadTuple or string Key per differential match.
+	dc.rhsIDs = ch.pc.rhsIDs
+	for _, dj := range ch.joins {
+		dc.violated = false
+		if err := dj.Run(delta, g, dc.onHead); err != nil {
 			return false, err
 		}
-		if violated {
+		if dc.violated {
 			return false, nil
 		}
 	}

@@ -14,52 +14,48 @@ import (
 // search's usage — and holds every check to a full recheck over D ∪ Δ
 // and to the one-shot SatisfiedDeltaGate's verdict and gate charges.
 func TestDeltaCheckerReuse(t *testing.T) {
-	restoreInterning(t)
 	ctx := context.Background()
 	set := NewSet(phi0(), AtMostK("k1", "Supt", 3, []int{2}, 0, 2))
 	rng := rand.New(rand.NewSource(29))
-	for _, interned := range []bool{true, false} {
-		relation.SetInterning(interned)
-		for base := 0; base < 40; base++ {
-			d, _, dm := randomCRMCase(rng)
-			if ok, err := set.Satisfied(d, dm); err != nil || !ok {
-				continue // the delta check presumes (D, Dm) ⊨ V
-			}
-			checkers := []*DeltaChecker{set.PrepareDelta(d, dm)}
-			checkers = append(checkers, checkers[0].Clone())
-			frag, _ := crmSchemas()
-			for trial := 0; trial < 10; trial++ {
-				_, delta, _ := randomCRMCase(rng)
-				frag.Reset()
-				for _, rel := range delta.Relations() {
-					for _, tup := range delta.Instance(rel).Tuples() {
-						if err := frag.Add(rel, tup); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				full, err := set.Satisfied(d.Union(frag), dm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g := query.NewGate(ctx, 1<<40, 1<<40)
-				once, err := set.SatisfiedDeltaGate(d, frag, dm, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if once != full {
-					t.Fatalf("interned=%v: one-shot delta check %v, full recheck %v\nD:\n%v\ndelta:\n%v", interned, once, full, d, frag)
-				}
-				for i, dc := range checkers {
-					pg := query.NewGate(ctx, 1<<40, 1<<40)
-					got, err := dc.Satisfied(frag, pg)
-					if err != nil {
+	for base := 0; base < 40; base++ {
+		d, _, dm := randomCRMCase(rng)
+		if ok, err := set.Satisfied(d, dm); err != nil || !ok {
+			continue // the delta check presumes (D, Dm) ⊨ V
+		}
+		checkers := []*DeltaChecker{set.PrepareDelta(d, dm)}
+		checkers = append(checkers, checkers[0].Clone())
+		frag, _ := crmSchemas()
+		for trial := 0; trial < 10; trial++ {
+			_, delta, _ := randomCRMCase(rng)
+			frag.Reset()
+			for _, rel := range delta.Relations() {
+				for _, tup := range delta.Instance(rel).Tuples() {
+					if err := frag.Add(rel, tup); err != nil {
 						t.Fatal(err)
 					}
-					if got != full || pg.Rows() != g.Rows() {
-						t.Fatalf("interned=%v checker %d: verdict %v rows %d, want %v rows %d\nD:\n%v\ndelta:\n%v",
-							interned, i, got, pg.Rows(), full, g.Rows(), d, frag)
-					}
+				}
+			}
+			full, err := set.Satisfied(d.Union(frag), dm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := query.NewGate(ctx, 1<<40, 1<<40)
+			once, err := set.SatisfiedDeltaGate(d, frag, dm, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if once != full {
+				t.Fatalf("one-shot delta check %v, full recheck %v\nD:\n%v\ndelta:\n%v", once, full, d, frag)
+			}
+			for i, dc := range checkers {
+				pg := query.NewGate(ctx, 1<<40, 1<<40)
+				got, err := dc.Satisfied(frag, pg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != full || pg.Rows() != g.Rows() {
+					t.Fatalf("checker %d: verdict %v rows %d, want %v rows %d\nD:\n%v\ndelta:\n%v",
+						i, got, pg.Rows(), full, g.Rows(), d, frag)
 				}
 			}
 		}
@@ -71,7 +67,6 @@ func TestDeltaCheckerReuse(t *testing.T) {
 // running the prepared checker on it allocates nothing, governed or
 // not.
 func TestPreparedDeltaCheckAllocs(t *testing.T) {
-	restoreInterning(t)
 	d, dm := crmSchemas()
 	dm.MustAdd("DCust", "c1", "Ann", "908", "5550001")
 	dm.MustAdd("DCust", "c2", "Eve", "973", "5550002")

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cc"
 	"repro/internal/cq"
+	"repro/internal/cq/cqtest"
+	"repro/internal/mdm"
 	"repro/internal/qlang"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -215,6 +220,368 @@ func TestRCQPGeneralAgainstOracle(t *testing.T) {
 					t.Fatalf("%s/%s: decider says %v but bounded search found 1-tuple witness\n%v",
 						cs.name, q, res.Status, br.Witness)
 				}
+			}
+		}
+	}
+}
+
+// The brute-force decider below shares no evaluation code with the
+// checker: queries and constraint queries are evaluated by the naive
+// evaluator of package cqtest (nested loops over Instance.Tuples), the
+// master side by a plain projection of Dm, and extensions are
+// enumerated as explicit tuple sets rather than valuations.
+
+// naiveDisjuncts returns the CQ disjuncts of a CQ or UCQ query.
+func naiveDisjuncts(t *testing.T, q qlang.Query) []*cq.CQ {
+	t.Helper()
+	if c, ok := qlang.AsCQ(q); ok {
+		return []*cq.CQ{c}
+	}
+	if u, ok := qlang.AsUCQ(q); ok {
+		return u.Disjuncts
+	}
+	t.Fatalf("no naive evaluation for %v query %s", q.Lang(), q)
+	return nil
+}
+
+// naiveAnswers returns Q(db) as a key set, evaluated naively.
+func naiveAnswers(t *testing.T, q qlang.Query, db *relation.Database) map[string]bool {
+	t.Helper()
+	out := make(map[string]bool)
+	for _, c := range naiveDisjuncts(t, q) {
+		for _, tu := range cqtest.Eval(c, db) {
+			out[tu.Key()] = true
+		}
+	}
+	return out
+}
+
+// naiveSatisfied judges (db, dm) ⊨ V naively.
+func naiveSatisfied(t *testing.T, v *cc.Set, db, dm *relation.Database) bool {
+	t.Helper()
+	for _, c := range v.Constraints {
+		if c.Reverse {
+			t.Fatalf("%s: no naive check for reverse constraints", c.Name)
+		}
+		rhs := make(map[string]bool)
+		if !c.P.IsEmptySet() {
+			for _, tu := range dm.Instance(c.P.Rel).Tuples() {
+				rhs[tu.Project(c.P.Cols).Key()] = true
+			}
+		}
+		for k := range naiveAnswers(t, c.Q, db) {
+			if !rhs[k] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// bruteRCDP decides whether some extension Δ of at most maxAdd tuples
+// not in D, over the values of D, Dm, Q and V plus fresh new values
+// (finite-domain attributes over their domains), keeps (D ∪ Δ, Dm) ⊨ V
+// and adds an answer to Q. For monotone Q and V, Proposition 3.3 makes
+// this exact once maxAdd ≥ |T_Q| and fresh covers the query's
+// variables; with smaller bounds it explores what BoundedRCDP does.
+// Monotonicity also lets a tuple that violates V on its own, or a Δ
+// that does, be dropped from every larger Δ.
+func bruteRCDP(t *testing.T, q qlang.Query, d, dm *relation.Database, v *cc.Set, maxAdd, fresh int) bool {
+	t.Helper()
+	seen := make(map[relation.Value]bool)
+	for _, db := range []*relation.Database{d, dm} {
+		for _, rel := range db.Relations() {
+			for _, tu := range db.Instance(rel).Tuples() {
+				for _, val := range tu {
+					seen[val] = true
+				}
+			}
+		}
+	}
+	for _, val := range append(q.Constants(), v.Constants()...) {
+		seen[val] = true
+	}
+	vals := relation.SortedValues(seen)
+	for i := 1; fresh > 0; i++ {
+		if nv := relation.Value(fmt.Sprintf("new%d", i)); !seen[nv] {
+			vals = append(vals, nv)
+			fresh--
+		}
+	}
+	type cand struct {
+		rel string
+		tup relation.Tuple
+	}
+	var cands []cand
+	for _, rel := range d.Relations() {
+		s := d.Schema(rel)
+		var gen func(tup relation.Tuple)
+		gen = func(tup relation.Tuple) {
+			if len(tup) == s.Arity() {
+				if !d.Contains(rel, tup) {
+					cands = append(cands, cand{rel, tup.Clone()})
+				}
+				return
+			}
+			dom := vals
+			if a := s.Attrs[len(tup)]; a.Domain.Kind == relation.Finite {
+				dom = a.Domain.Values
+			}
+			for _, val := range dom {
+				gen(append(tup, val))
+			}
+		}
+		gen(nil)
+	}
+	with := func(db *relation.Database, c cand) *relation.Database {
+		next := db.Clone()
+		if err := next.Add(c.rel, c.tup); err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+	cands = slices.DeleteFunc(cands, func(c cand) bool { return !naiveSatisfied(t, v, with(d, c), dm) })
+	base := naiveAnswers(t, q, d)
+	var rec func(start int, ext *relation.Database, added int) bool
+	rec = func(start int, ext *relation.Database, added int) bool {
+		for i := start; i < len(cands); i++ {
+			next := with(ext, cands[i])
+			if !naiveSatisfied(t, v, next, dm) {
+				continue
+			}
+			for k := range naiveAnswers(t, q, next) {
+				if !base[k] {
+					return true
+				}
+			}
+			if added+1 < maxAdd && rec(i+1, next, added+1) {
+				return true
+			}
+		}
+		return false
+	}
+	return rec(0, d, 0)
+}
+
+// certifyRCDPWitness checks an incompleteness witness naively: D ∪ Δ
+// is partially closed and NewTuple is an answer over D ∪ Δ but not
+// over D.
+func certifyRCDPWitness(t *testing.T, q qlang.Query, d, dm *relation.Database, v *cc.Set, ext *relation.Database, newTuple relation.Tuple) {
+	t.Helper()
+	union := d.Union(ext)
+	if !naiveSatisfied(t, v, union, dm) {
+		t.Fatalf("%s: witness extension %v is not partially closed", q, ext)
+	}
+	if k := newTuple.Key(); !naiveAnswers(t, q, union)[k] || naiveAnswers(t, q, d)[k] {
+		t.Fatalf("%s: witness answer %v is not new over D ∪ %v", q, newTuple, ext)
+	}
+}
+
+// microBounds returns |T_Q| and the variable count of the query's
+// largest disjunct: the extension size and fresh pool that make
+// bruteRCDP exact.
+func microBounds(t *testing.T, q qlang.Query) (atoms, vars int) {
+	for _, c := range naiveDisjuncts(t, q) {
+		atoms, vars = max(atoms, len(c.Atoms)), max(vars, len(c.Vars()))
+	}
+	return atoms, vars
+}
+
+// checkRCDPAgainstBrute draws partially closed random micro instances
+// from seed and holds RCDPCtx at each worker count to the brute-force
+// decider's verdict, and every witness it returns to naive
+// certification.
+func checkRCDPAgainstBrute(t *testing.T, seed int64, workers ...int) {
+	queries := microQueries()
+	sets := microConstraintSets()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(seed))
+	trials, incomplete := 0, 0
+	for trial := 0; trial < 400 && trials < 150; trial++ {
+		q := queries[rng.Intn(len(queries))]
+		cs := sets[rng.Intn(len(sets))]
+		d := randomMicroDB(rng)
+		if !naiveSatisfied(t, cs.v, d, cs.dm) {
+			continue
+		}
+		trials++
+		atoms, vars := microBounds(t, q)
+		want := bruteRCDP(t, q, d, cs.dm, cs.v, atoms, vars)
+		if want {
+			incomplete++
+		}
+		for _, w := range workers {
+			res, err := (&Checker{Workers: w}).RCDPCtx(ctx, q, d, cs.dm, cs.v)
+			if err != nil {
+				t.Fatalf("workers=%d trial %d (%s/%s): %v", w, trial, cs.name, q, err)
+			}
+			if res.Complete == want {
+				t.Fatalf("workers=%d trial %d (%s/%s): RCDPCtx complete=%v, brute force incomplete=%v\nD:\n%v",
+					w, trial, cs.name, q, res.Complete, want, d)
+			}
+			if !res.Complete {
+				certifyRCDPWitness(t, q, d, cs.dm, cs.v, res.Extension, res.NewTuple)
+			}
+		}
+	}
+	if trials < 100 || incomplete == 0 || incomplete == trials {
+		t.Fatalf("weak sample: %d partially closed trials, %d incomplete", trials, incomplete)
+	}
+}
+
+// TestRCDPInternedMatchesLegacy holds the id-based RCDP checker at
+// Workers 1 and 2 to the brute-force decider, whose evaluation runs on
+// value tuples and Bindings alone.
+func TestRCDPInternedMatchesLegacy(t *testing.T) { checkRCDPAgainstBrute(t, 73, 1, 2) }
+
+// TestRCDPIndexedMatchesNoindex holds the RCDP checker, whose joins
+// probe posting lists, at Workers 1 and 8 to the brute-force decider,
+// whose naive evaluation uses no index.
+func TestRCDPIndexedMatchesNoindex(t *testing.T) { checkRCDPAgainstBrute(t, 31, 1, 8) }
+
+// TestBoundedRCDPIndexedMatchesNoindex holds BoundedRCDP at Workers 1
+// and 8 to the brute-force decider run with the same bounds (at most
+// two added tuples, two fresh values), and every extension it reports
+// to naive certification.
+func TestBoundedRCDPIndexedMatchesNoindex(t *testing.T) {
+	queries := microQueries()
+	sets := microConstraintSets()
+	rng := rand.New(rand.NewSource(59))
+	trials := 0
+	for trial := 0; trial < 200 && trials < 60; trial++ {
+		q := queries[rng.Intn(len(queries))]
+		cs := sets[rng.Intn(len(sets))]
+		d := randomMicroDB(rng)
+		if !naiveSatisfied(t, cs.v, d, cs.dm) {
+			continue
+		}
+		trials++
+		want := bruteRCDP(t, q, d, cs.dm, cs.v, 2, 2)
+		for _, workers := range []int{1, 8} {
+			res, err := BoundedRCDP(q, d, cs.dm, cs.v, BoundedOpts{MaxAdd: 2, FreshValues: 2, Workers: workers})
+			if err != nil {
+				t.Fatalf("workers=%d trial %d (%s/%s): %v", workers, trial, cs.name, q, err)
+			}
+			if res.Incomplete != want {
+				t.Fatalf("workers=%d trial %d (%s/%s): bounded incomplete=%v, brute force %v\nD:\n%v",
+					workers, trial, cs.name, q, res.Incomplete, want, d)
+			}
+			if res.Incomplete {
+				certifyRCDPWitness(t, q, d, cs.dm, cs.v, res.Extension, res.NewTuple)
+			}
+		}
+	}
+	if trials < 30 {
+		t.Fatalf("too few partially closed trials: %d", trials)
+	}
+}
+
+// TestRCQPIndexedMatchesNoindex runs RCQP over every micro query and
+// constraint set at Workers 1 and 8: the two must agree exactly, and
+// every yes-witness must be partially closed and complete under the
+// brute-force decider.
+func TestRCQPIndexedMatchesNoindex(t *testing.T) {
+	r, f := microSchema()
+	schemas := map[string]*relation.Schema{"R": r, "F": f}
+	witnesses := 0
+	for _, cs := range microConstraintSets() {
+		for _, q := range microQueries() {
+			var results [2]*RCQPResult
+			for i, workers := range []int{1, 8} {
+				res, err := (&QPChecker{Checker: Checker{Workers: workers}}).RCQP(q, cs.dm, cs.v, schemas)
+				if err != nil {
+					t.Fatalf("workers=%d %s/%s: %v", workers, cs.name, q, err)
+				}
+				results[i] = res
+			}
+			seq, par := results[0], results[1]
+			if seq.Status != par.Status || seq.Method != par.Method || seq.Detail != par.Detail ||
+				seq.Candidates != par.Candidates || (seq.Witness == nil) != (par.Witness == nil) ||
+				(seq.Witness != nil && !seq.Witness.Equal(par.Witness)) {
+				t.Fatalf("%s/%s: workers disagree\nseq: %+v\npar: %+v", cs.name, q, seq, par)
+			}
+			if seq.Status != Yes || seq.Witness == nil {
+				continue
+			}
+			witnesses++
+			atoms, vars := microBounds(t, q)
+			if !naiveSatisfied(t, cs.v, seq.Witness, cs.dm) || bruteRCDP(t, q, seq.Witness, cs.dm, cs.v, atoms, vars) {
+				t.Fatalf("%s/%s: yes-witness is not a partially closed complete database:\n%v", cs.name, q, seq.Witness)
+			}
+		}
+	}
+	if witnesses == 0 {
+		t.Fatal("no yes-witness to certify")
+	}
+}
+
+// TestCRMIndexedMatchesNoindex runs the CRM scenario of the benchmark
+// at two completeness levels, where posting lists serve the joins, at
+// Workers 1 and 8: the two must agree, and each incompleteness witness
+// must survive naive certification.
+func TestCRMIndexedMatchesNoindex(t *testing.T) {
+	certified := 0
+	for _, completeness := range []float64{1.0, 0.8} {
+		cfg := mdm.DefaultConfig()
+		cfg.DomesticCustomers = 60
+		cfg.Employees = 6
+		cfg.Completeness = completeness
+		s := mdm.Generate(cfg)
+		v := mdmSet(cfg)
+		q := mdm.Q0("908")
+		seq, err := (&Checker{Workers: 1}).RCDPCtx(context.Background(), q, s.D, s.Dm, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := (&Checker{Workers: 8}).RCDPCtx(context.Background(), q, s.D, s.Dm, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRCDP(seq, par) {
+			t.Fatalf("completeness=%.1f: workers disagree\nseq: %+v\npar: %+v", completeness, seq, par)
+		}
+		if !seq.Complete {
+			certifyRCDPWitness(t, q, s.D, s.Dm, v, seq.Extension, seq.NewTuple)
+			certified++
+		}
+	}
+	if certified == 0 {
+		t.Fatal("no incompleteness witness to certify")
+	}
+}
+
+// TestCRMInternedMatchesLegacy checks that the storage's row order
+// never shows: the CRM check over copies of D and Dm with relations
+// and tuples inserted in shuffled order — so rows, ranks' row numbers
+// and posting containers all differ — yields the same verdict and
+// witness, and at Workers=1 the same BudgetStats.
+func TestCRMInternedMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, completeness := range []float64{1.0, 0.8} {
+		cfg := mdm.DefaultConfig()
+		cfg.DomesticCustomers = 60
+		cfg.Employees = 6
+		cfg.Completeness = completeness
+		s := mdm.Generate(cfg)
+		v := mdmSet(cfg)
+		q := mdm.Q0("908")
+		for _, workers := range []int{1, 8} {
+			ck := &Checker{Workers: workers}
+			want, err := ck.RCDPCtx(context.Background(), q, s.D, s.Dm, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ck.RCDPCtx(context.Background(), q, shuffledCopy(rng, s.D), shuffledCopy(rng, s.Dm), mdmSet(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRCDP(got, want) {
+				t.Fatalf("completeness=%.1f workers=%d: shuffled storage changes the result\nshuffled: %+v\nas built: %+v",
+					completeness, workers, got, want)
+			}
+			if workers == 1 && (got.Stats.Valuations != want.Stats.Valuations || got.Stats.JoinRows != want.Stats.JoinRows ||
+				got.Stats.Tuples != want.Stats.Tuples) {
+				t.Fatalf("completeness=%.1f: shuffled storage changes the work: %+v vs %+v", completeness, got.Stats, want.Stats)
 			}
 		}
 	}

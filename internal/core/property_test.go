@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cc"
-	"repro/internal/cq"
 	"repro/internal/relation"
 )
 
@@ -20,26 +19,8 @@ import (
 //     on the database as a set of relations of sets of tuples, never on
 //     the order relations were declared or tuples inserted.
 //
-// Both properties are checked across indexed/noindex joins and
-// Workers ∈ {1, 8}, since each engine enumerates differently.
-
-// engineConfigs enumerates the four join-engine/worker combinations.
-func engineConfigs() []struct {
-	name    string
-	indexed bool
-	workers int
-} {
-	return []struct {
-		name    string
-		indexed bool
-		workers int
-	}{
-		{"indexed/seq", true, 1},
-		{"indexed/par", true, 8},
-		{"noindex/seq", false, 1},
-		{"noindex/par", false, 8},
-	}
-}
+// Both properties are checked at Workers ∈ {1, 8}, since the
+// sequential and parallel searches enumerate differently.
 
 // mergedConstraints unions two constraint-set fixtures: the constraint
 // lists are concatenated and the master databases unioned (every
@@ -58,9 +39,8 @@ func mergedConstraints(a, b struct {
 // TestRCDPCCMonotonicityProperty: on random instances, whenever D is
 // complete w.r.t. (Dm, V) and still partially closed w.r.t.
 // (Dm, V ∪ V'), it must be complete w.r.t. (Dm, V ∪ V') too — under
-// every engine configuration.
+// every worker count.
 func TestRCDPCCMonotonicityProperty(t *testing.T) {
-	restoreIndexJoin(t)
 	rng := rand.New(rand.NewSource(47))
 	queries := microQueries()
 	sets := microConstraintSets()
@@ -79,7 +59,6 @@ func TestRCDPCCMonotonicityProperty(t *testing.T) {
 			continue
 		}
 		trials++
-		cq.SetIndexJoin(true)
 		br, err := (&Checker{Workers: 1}).RCDP(q, d, dm, base.v)
 		if err != nil {
 			t.Fatal(err)
@@ -88,15 +67,14 @@ func TestRCDPCCMonotonicityProperty(t *testing.T) {
 			continue
 		}
 		completeHits++
-		for _, cfg := range engineConfigs() {
-			cq.SetIndexJoin(cfg.indexed)
-			mr, err := (&Checker{Workers: cfg.workers}).RCDP(q, d, dm, merged)
+		for _, workers := range []int{1, 8} {
+			mr, err := (&Checker{Workers: workers}).RCDP(q, d, dm, merged)
 			if err != nil {
-				t.Fatalf("trial %d (%s, %s+%s/%s): %v", trial, cfg.name, base.name, extra.name, q, err)
+				t.Fatalf("trial %d (workers=%d, %s+%s/%s): %v", trial, workers, base.name, extra.name, q, err)
 			}
 			if !mr.Complete {
-				t.Fatalf("trial %d (%s): completeness lost under V ∪ V' (%s + %s)\nquery %s\nD:\n%v\nwitness: %v",
-					trial, cfg.name, base.name, extra.name, q, d, mr.Extension)
+				t.Fatalf("trial %d (workers=%d): completeness lost under V ∪ V' (%s + %s)\nquery %s\nD:\n%v\nwitness: %v",
+					trial, workers, base.name, extra.name, q, d, mr.Extension)
 			}
 		}
 	}
@@ -130,9 +108,8 @@ func shuffledCopy(rng *rand.Rand, d *relation.Database) *relation.Database {
 // TestRCDPShuffleInvariance: the verdict, witness extension and new
 // answer must not change when the same database is presented with
 // shuffled relation/tuple enumeration order — under every engine
-// configuration.
+// worker count.
 func TestRCDPShuffleInvariance(t *testing.T) {
-	restoreIndexJoin(t)
 	rng := rand.New(rand.NewSource(53))
 	queries := microQueries()
 	sets := microConstraintSets()
@@ -146,7 +123,6 @@ func TestRCDPShuffleInvariance(t *testing.T) {
 			continue
 		}
 		trials++
-		cq.SetIndexJoin(true)
 		want, err := (&Checker{Workers: 1}).RCDP(q, d, cs.dm, cs.v)
 		if err != nil {
 			t.Fatal(err)
@@ -156,15 +132,14 @@ func TestRCDPShuffleInvariance(t *testing.T) {
 			if !sd.Equal(d) {
 				t.Fatalf("trial %d: shuffled copy not set-equal\n%v\nvs\n%v", trial, d, sd)
 			}
-			for _, cfg := range engineConfigs() {
-				cq.SetIndexJoin(cfg.indexed)
-				got, err := (&Checker{Workers: cfg.workers}).RCDP(q, sd, cs.dm, cs.v)
+			for _, workers := range []int{1, 8} {
+				got, err := (&Checker{Workers: workers}).RCDP(q, sd, cs.dm, cs.v)
 				if err != nil {
-					t.Fatalf("trial %d (%s, %s/%s): %v", trial, cfg.name, cs.name, q, err)
+					t.Fatalf("trial %d (workers=%d, %s/%s): %v", trial, workers, cs.name, q, err)
 				}
 				if !sameRCDP(want, got) {
-					t.Fatalf("trial %d (%s, %s/%s): verdict depends on enumeration order\nD:\n%v\ncanonical: %+v\nshuffled:  %+v",
-						trial, cfg.name, cs.name, q, d, want, got)
+					t.Fatalf("trial %d (workers=%d, %s/%s): verdict depends on enumeration order\nD:\n%v\ncanonical: %+v\nshuffled:  %+v",
+						trial, workers, cs.name, q, d, want, got)
 				}
 			}
 		}

@@ -49,7 +49,7 @@ func newINDPruner(s *valuationSearch, v *cc.Set, dm *relation.Database) *indPrun
 		if !ok {
 			continue
 		}
-		byRel[shape.Rel] = append(byRel[shape.Rel], indCheck{cols: shape.Cols, allowed: masterIDKeys(c, dm)})
+		byRel[shape.Rel] = append(byRel[shape.Rel], indCheck{cols: shape.Cols, allowed: c.MasterIDKeys(dm)})
 	}
 	p := &indPruner{
 		templates: s.templates,
@@ -76,35 +76,6 @@ func newINDPruner(s *valuationSearch, v *cc.Set, dm *relation.Database) *indPrun
 		return nil
 	}
 	return p
-}
-
-// masterIDKeys returns the constraint's master side p(Dm) as id-keys:
-// the constraint's memoized set when the master instance is interned,
-// otherwise the projection interned once here.
-func masterIDKeys(c *cc.Constraint, dm *relation.Database) map[string]bool {
-	if keys, ok := c.MasterIDKeys(dm); ok {
-		return keys
-	}
-	return idKeySet(dm.Instance(c.P.Rel).Project(c.P.Cols))
-}
-
-// idKeySet returns the set of the tuples' fixed-width id-keys
-// (relation.AppendIDKey over the shared dictionary), interning their
-// values.
-func idKeySet(tuples []relation.Tuple) map[string]bool {
-	dict := relation.Shared()
-	keys := make(map[string]bool, len(tuples))
-	var ids []int32
-	var kb []byte
-	for _, t := range tuples {
-		ids = ids[:0]
-		for _, val := range t {
-			ids = append(ids, dict.Intern(val))
-		}
-		kb = relation.AppendIDKey(kb[:0], ids)
-		keys[string(kb)] = true
-	}
-	return keys
 }
 
 // admit checks every template that became ground with slot i against

@@ -235,6 +235,25 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 	return &rcdpPrep{searches: searches, schemas: schemas, answerSet: answerSet, check: v.PrepareDelta(d, dm)}, nil
 }
 
+// idKeySet returns the set of the tuples' fixed-width id-keys
+// (relation.AppendIDKey over the shared dictionary), interning their
+// values.
+func idKeySet(tuples []relation.Tuple) map[string]bool {
+	dict := relation.Shared()
+	keys := make(map[string]bool, len(tuples))
+	var ids []int32
+	var kb []byte
+	for _, t := range tuples {
+		ids = ids[:0]
+		for _, val := range t {
+			ids = append(ids, dict.Intern(val))
+		}
+		kb = relation.AppendIDKey(kb[:0], ids)
+		keys[string(kb)] = true
+	}
+	return keys
+}
+
 // rcdp is RCDP with an optional externally-owned worker pool — so that
 // RCQP's candidate checks and the RCDP disjunct searches they trigger
 // draw goroutines from one shared pool instead of multiplying — and an

@@ -100,18 +100,17 @@ func (dl *Delta) WitnessReusable(q qlang.Query, d, dm *relation.Database, v *cc.
 }
 
 // adomProbe answers "is this value already in Adom(D, Dm, Q, V)?"
-// without mutating anything: interned databases are probed through
-// their id bitsets and non-mutating dictionary lookups (never Intern,
-// which would grow the dictionary as a side effect), with the Q/V
-// constants held as strings; legacy instances fall back to a string
-// set of their values (membership only, so no sorted active domain).
+// without mutating anything: the databases are probed through their
+// id bitsets and non-mutating dictionary lookups (never Intern, which
+// would grow the dictionary as a side effect), with the Q/V constants
+// held as strings.
 type adomProbe struct {
 	bits   []uint64
 	consts map[relation.Value]bool
 }
 
 func newAdomProbe(d, dm *relation.Database, q qlang.Query, v *cc.Set) *adomProbe {
-	p := &adomProbe{consts: make(map[relation.Value]bool)}
+	p := &adomProbe{bits: dm.InternedIDs(d.InternedIDs(nil)), consts: make(map[relation.Value]bool)}
 	if q != nil {
 		for _, val := range q.Constants() {
 			p.consts[val] = true
@@ -122,33 +121,12 @@ func newAdomProbe(d, dm *relation.Database, q qlang.Query, v *cc.Set) *adomProbe
 			p.consts[val] = true
 		}
 	}
-	if set, ok := d.InternedIDs(nil); ok {
-		if set, ok = dm.InternedIDs(set); ok {
-			p.bits = set
-			return p
-		}
-	}
-	for _, db := range []*relation.Database{d, dm} {
-		if db == nil {
-			continue
-		}
-		for _, rel := range db.Relations() {
-			for _, t := range db.Instance(rel).Tuples() {
-				for _, val := range t {
-					p.consts[val] = true
-				}
-			}
-		}
-	}
 	return p
 }
 
 func (p *adomProbe) has(val relation.Value) bool {
 	if p.consts[val] {
 		return true
-	}
-	if p.bits == nil {
-		return false
 	}
 	id, ok := relation.Shared().ID(val)
 	return ok && relation.HasIDBit(p.bits, id)

@@ -58,13 +58,10 @@ func computeRelevantValues(q interface{ Constants() []relation.Value }, v *cc.Se
 		}
 	}
 
-	// headFeeds collects, per group root (resolved later), the master
-	// values feeding it through constraint heads — as a dictionary-id
-	// set when the master instance is interned, as sorted values
-	// otherwise.
+	// feeds collects, per group root (resolved later), the master
+	// values feeding it through constraint heads, as dictionary-id sets.
 	type feed struct {
 		anchor pos
-		vals   []relation.Value
 		set    []uint64
 	}
 	var feeds []feed
@@ -107,19 +104,11 @@ func computeRelevantValues(q interface{ Constants() []relation.Value }, v *cc.Se
 							if len(ps) == 0 {
 								continue
 							}
-							if ids := in.InternedCol(c.P.Cols[hi]); ids != nil && in.InternDict() == relation.Shared() {
-								var set []uint64
-								for _, id := range ids {
-									set = relation.SetIDBit(set, id)
-								}
-								feeds = append(feeds, feed{anchor: ps[0], set: set})
-								continue
+							var set []uint64
+							for _, id := range in.InternedCol(c.P.Cols[hi]) {
+								set = relation.SetIDBit(set, id)
 							}
-							seen := make(map[relation.Value]bool)
-							for _, tu := range in.Project([]int{c.P.Cols[hi]}) {
-								seen[tu[0]] = true
-							}
-							feeds = append(feeds, feed{anchor: ps[0], vals: relation.SortedValues(seen)})
+							feeds = append(feeds, feed{anchor: ps[0], set: set})
 						}
 					}
 				}
@@ -127,19 +116,19 @@ func computeRelevantValues(q interface{ Constants() []relation.Value }, v *cc.Se
 		}
 	}
 
-	// Collect database values per group: interned instances contribute
-	// dictionary-id sets (no string keys, sorted later by one scan of
-	// the dictionary's sort permutation), legacy instances contribute
-	// value maps; the two merge when modes mix.
-	groupVals := make(map[pos]map[relation.Value]bool)
+	// Collect database values per group as dictionary-id sets (no
+	// string keys), sorted later by one scan of the dictionary's sort
+	// permutation.
 	groupSets := make(map[pos][]uint64)
-	addVal := func(root pos, val relation.Value) {
-		m := groupVals[root]
-		if m == nil {
-			m = make(map[relation.Value]bool)
-			groupVals[root] = m
+	merge := func(root pos, src []uint64) {
+		set := groupSets[root]
+		for w, word := range src {
+			for len(set) <= w {
+				set = append(set, 0)
+			}
+			set[w] |= word
 		}
-		m[val] = true
+		groupSets[root] = set
 	}
 	if d != nil {
 		for _, rel := range d.Relations() {
@@ -150,36 +139,16 @@ func computeRelevantValues(q interface{ Constants() []relation.Value }, v *cc.Se
 					continue // position untouched by V: no outside comparisons
 				}
 				root := find(p)
-				if ids := in.InternedCol(col); ids != nil && in.InternDict() == relation.Shared() {
-					set := groupSets[root]
-					for _, id := range ids {
-						set = relation.SetIDBit(set, id)
-					}
-					groupSets[root] = set
-					continue
+				set := groupSets[root]
+				for _, id := range in.InternedCol(col) {
+					set = relation.SetIDBit(set, id)
 				}
-				for _, t := range in.Tuples() {
-					addVal(root, t[col])
-				}
+				groupSets[root] = set
 			}
 		}
 	}
 	for _, f := range feeds {
-		root := find(f.anchor)
-		if f.set != nil {
-			set := groupSets[root]
-			for w, word := range f.set {
-				for len(set) <= w {
-					set = append(set, 0)
-				}
-				set[w] |= word
-			}
-			groupSets[root] = set
-			continue
-		}
-		for _, val := range f.vals {
-			addVal(root, val)
-		}
+		merge(find(f.anchor), f.set)
 	}
 
 	rv := &relevantValues{perPosition: make(map[string]map[int][]relation.Value)}
@@ -194,9 +163,6 @@ func computeRelevantValues(q interface{ Constants() []relation.Value }, v *cc.Se
 		var vals []relation.Value
 		if set := groupSets[root]; set != nil {
 			vals = dict.SortedIDValues(set)
-		}
-		if gm := groupVals[root]; gm != nil {
-			vals = mergeSortedValues(vals, relation.SortedValues(gm))
 		}
 		m[p.col] = vals
 	}

@@ -68,38 +68,27 @@ type Universe struct {
 // nFresh controls how many New values are created; pass the maximum
 // number of variables over the tableaux that will be instantiated.
 func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int) *Universe {
-	u := &Universe{}
-	isConst := internedConsts(u, d, dm, q, v)
-	if isConst == nil {
-		seen := make(map[relation.Value]bool)
-		if d != nil {
-			for _, val := range d.ActiveDomain() {
-				seen[val] = true
-			}
+	// The active ids merge into one bitset and materialize in value
+	// order by scanning the dictionary's cached sort permutation — no
+	// string sort, no value map.
+	dict := relation.Shared()
+	set := dm.InternedIDs(d.InternedIDs(nil))
+	if q != nil {
+		for _, val := range q.Constants() {
+			set = relation.SetIDBit(set, dict.Intern(val))
 		}
-		if dm != nil {
-			for _, val := range dm.ActiveDomain() {
-				seen[val] = true
-			}
-		}
-		if q != nil {
-			for _, val := range q.Constants() {
-				seen[val] = true
-			}
-		}
-		if v != nil {
-			for _, val := range v.Constants() {
-				seen[val] = true
-			}
-		}
-		u.Consts = relation.SortedValues(seen)
-		isConst = func(val relation.Value) bool { return seen[val] }
 	}
+	if v != nil {
+		for _, val := range v.Constants() {
+			set = relation.SetIDBit(set, dict.Intern(val))
+		}
+	}
+	u := &Universe{Consts: dict.SortedIDValues(set)}
 	i := 0
 	for len(u.Fresh) < nFresh {
 		i++
 		cand := relation.Value(fmt.Sprintf("⊥%d", i))
-		if isConst(cand) {
+		if id, ok := dict.ID(cand); ok && relation.HasIDBit(set, id) {
 			continue
 		}
 		u.Fresh = append(u.Fresh, cand)
@@ -117,38 +106,6 @@ func NewUniverse(d, dm *relation.Database, q qlang.Query, v *cc.Set, nFresh int)
 // facts before placeholder patterns).
 func IsFreshValue(val relation.Value) bool {
 	return strings.HasPrefix(string(val), "⊥")
-}
-
-// internedConsts fills u.Consts through the shared dictionary when
-// every instance of d and dm is interned over it: the active ids merge
-// into one bitset and materialize in value order by scanning the
-// dictionary's cached sort permutation — no string sort, no value map.
-// It returns a membership test for the fresh-value collision check, or
-// nil when some instance forces the string path.
-func internedConsts(u *Universe, d, dm *relation.Database, q qlang.Query, v *cc.Set) func(relation.Value) bool {
-	set, ok := d.InternedIDs(nil)
-	if !ok {
-		return nil
-	}
-	if set, ok = dm.InternedIDs(set); !ok {
-		return nil
-	}
-	dict := relation.Shared()
-	if q != nil {
-		for _, val := range q.Constants() {
-			set = relation.SetIDBit(set, dict.Intern(val))
-		}
-	}
-	if v != nil {
-		for _, val := range v.Constants() {
-			set = relation.SetIDBit(set, dict.Intern(val))
-		}
-	}
-	u.Consts = dict.SortedIDValues(set)
-	return func(val relation.Value) bool {
-		id, ok := dict.ID(val)
-		return ok && relation.HasIDBit(set, id)
-	}
 }
 
 // AdomFor returns the active domain adom(y) for a variable whose

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/query"
@@ -46,8 +47,10 @@ func Contained(q1, q2 *CQ, schemas map[string]*relation.Schema) (bool, error) {
 		return false, fmt.Errorf("cq: containment between arities %d and %d", q1.Arity(), q2.Arity())
 	}
 	t1, err := q1.Compiled()
-	if err != nil {
+	if unsat := (*ErrUnsatisfiable)(nil); errors.As(err, &unsat) {
 		return true, nil // unsatisfiable q1 is contained in everything
+	} else if err != nil {
+		return false, err
 	}
 	avoid := make(map[relation.Value]bool)
 	for _, c := range append(q1.Constants(), q2.Constants()...) {

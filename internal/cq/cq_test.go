@@ -300,11 +300,9 @@ func TestTableauApplyAndHead(t *testing.T) {
 }
 
 // TestApplyIDsMatchesApply instantiates a tableau by binding (Apply)
-// and by id rows (ApplyIDs) in both storage modes, and checks that a
-// reused fragment is emptied before it is refilled.
+// and by id rows (ApplyIDs), and checks that a reused fragment is
+// emptied before it is refilled.
 func TestApplyIDsMatchesApply(t *testing.T) {
-	prev := relation.SetInterning(true)
-	t.Cleanup(func() { relation.SetInterning(prev) })
 	ss := testSchemas()
 	tb, err := BuildTableau(New("Q", []query.Term{v("a")},
 		[]query.RelAtom{atom("R", v("a"), v("b")), atom("S", v("b"), c("u"))}))
@@ -312,24 +310,21 @@ func TestApplyIDsMatchesApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := relation.Shared().Intern
-	for _, interned := range []bool{true, false} {
-		relation.SetInterning(interned)
-		want, err := tb.Apply(query.Binding{"a": "1", "b": "x"}, ss)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := [][]int32{{id("1"), id("x")}, {id("x"), id("u")}}
-		got, err := tb.ApplyIDs(rows, ss, nil)
-		if err != nil || !got.Equal(want) {
-			t.Fatalf("interned=%v: ApplyIDs = %v, %v; Apply = %v", interned, got, err, want)
-		}
-		rows = [][]int32{{id("2"), id("y")}, {id("y"), id("u")}}
-		again, err := tb.ApplyIDs(rows, ss, got)
-		if err != nil || again != got || again.TupleCount() != 2 || !again.Contains("R", relation.T("2", "y")) {
-			t.Fatalf("interned=%v: reused fragment = %v, %v", interned, again, err)
-		}
-		if _, err := tb.ApplyIDs(rows[:1], ss, nil); err == nil {
-			t.Fatalf("interned=%v: short row list accepted", interned)
-		}
+	want, err := tb.Apply(query.Binding{"a": "1", "b": "x"}, ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]int32{{id("1"), id("x")}, {id("x"), id("u")}}
+	got, err := tb.ApplyIDs(rows, ss, nil)
+	if err != nil || !got.Equal(want) {
+		t.Fatalf("ApplyIDs = %v, %v; Apply = %v", got, err, want)
+	}
+	rows = [][]int32{{id("2"), id("y")}, {id("y"), id("u")}}
+	again, err := tb.ApplyIDs(rows, ss, got)
+	if err != nil || again != got || again.TupleCount() != 2 || !again.Contains("R", relation.T("2", "y")) {
+		t.Fatalf("reused fragment = %v, %v", again, err)
+	}
+	if _, err := tb.ApplyIDs(rows[:1], ss, nil); err == nil {
+		t.Fatal("short row list accepted")
 	}
 }

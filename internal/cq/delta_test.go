@@ -3,6 +3,7 @@ package cq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -91,35 +92,31 @@ func randomDeltaCase(rng *rand.Rand) (*CQ, *relation.Database, *relation.Databas
 // evaluation against full re-evaluation: for monotone CQs,
 // Eval(d ∪ delta) = Eval(d) ∪ deltaHeads(d, delta) — exactly, because
 // every answer new in the union has a match using at least one delta
-// tuple. Runs with the indexed engine on and off.
+// tuple.
 func TestEvalFuncDeltaMatchesFullRandom(t *testing.T) {
-	defer SetIndexJoin(SetIndexJoin(true))
-	for _, indexed := range []bool{true, false} {
-		SetIndexJoin(indexed)
-		rng := rand.New(rand.NewSource(17))
-		for trial := 0; trial < 300; trial++ {
-			q, d, delta := randomDeltaCase(rng)
-			tb, err := q.Compiled()
-			if err != nil {
-				continue
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		q, d, delta := randomDeltaCase(rng)
+		tb, err := q.Compiled()
+		if err != nil {
+			continue
+		}
+		full := d.Union(delta)
+		want := keySet(tb.Eval(full))
+		base := keySet(tb.Eval(d))
+		got := deltaHeads(tb, d, delta)
+		// Soundness: every differential head is a union answer.
+		for k := range got {
+			if !want[k] {
+				t.Fatalf("trial %d: delta head %q not in Eval(d ∪ delta)\nq: %v\nd:\n%v\ndelta:\n%v",
+					trial, k, q, d, delta)
 			}
-			full := d.Union(delta)
-			want := keySet(tb.Eval(full))
-			base := keySet(tb.Eval(d))
-			got := deltaHeads(tb, d, delta)
-			// Soundness: every differential head is a union answer.
-			for k := range got {
-				if !want[k] {
-					t.Fatalf("indexed=%v trial %d: delta head %q not in Eval(d ∪ delta)\nq: %v\nd:\n%v\ndelta:\n%v",
-						indexed, trial, k, q, d, delta)
-				}
-			}
-			// Completeness: base ∪ differential covers the union.
-			for k := range want {
-				if !base[k] && !got[k] {
-					t.Fatalf("indexed=%v trial %d: union answer %q missed by base and delta\nq: %v\nd:\n%v\ndelta:\n%v",
-						indexed, trial, k, q, d, delta)
-				}
+		}
+		// Completeness: base ∪ differential covers the union.
+		for k := range want {
+			if !base[k] && !got[k] {
+				t.Fatalf("trial %d: union answer %q missed by base and delta\nq: %v\nd:\n%v\ndelta:\n%v",
+					trial, k, q, d, delta)
 			}
 		}
 	}
@@ -207,82 +204,63 @@ func TestCompiledBuildsOnce(t *testing.T) {
 	}
 }
 
-// TestIndexedEvalMatchesScanRandom cross-validates the indexed join
-// engine against the pure scan path on random queries and databases:
-// answers must be identical tuple-for-tuple.
-func TestIndexedEvalMatchesScanRandom(t *testing.T) {
-	defer SetIndexJoin(SetIndexJoin(true))
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 300; trial++ {
-		q, d, delta := randomDeltaCase(rng)
-		full := d.Union(delta)
-		SetIndexJoin(true)
-		indexed := q.Eval(full)
-		SetIndexJoin(false)
-		scanned := q.Eval(full)
-		if len(indexed) != len(scanned) {
-			t.Fatalf("trial %d: answer counts diverge: indexed %d scan %d\nq: %v\ndb:\n%v",
-				trial, len(indexed), len(scanned), q, full)
-		}
-		for i := range indexed {
-			if indexed[i].Key() != scanned[i].Key() {
-				t.Fatalf("trial %d: answers diverge at %d: indexed %v scan %v\nq: %v",
-					trial, i, indexed[i], scanned[i], q)
-			}
-		}
-	}
-}
-
-// TestLookupAndInvalidation pins the secondary-index contract on
-// Instance: Lookup returns exactly the matching tuples in Tuples()
-// order, and Add/Remove invalidate via the generation counter.
+// TestLookupAndInvalidation pins the posting-list contract the join
+// probes rely on: the postings of a column value are exactly the ranks
+// of the matching tuples in Tuples() order, Distinct counts the
+// column's values, and Add/Remove invalidate the view via the
+// generation counter.
 func TestLookupAndInvalidation(t *testing.T) {
 	rs := relation.NewSchema("R", relation.Attr("a"), relation.Attr("b"))
 	in := relation.NewInstance(rs)
 	rng := rand.New(rand.NewSource(41))
-	vals := []string{"a", "b", "c", "d"}
-	for i := 0; i < 30; i++ {
-		in.MustAdd(relation.T(vals[rng.Intn(4)], vals[rng.Intn(4)]))
+	vals := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	for i := 0; i < 60; i++ {
+		in.MustAdd(relation.T(vals[rng.Intn(8)], vals[rng.Intn(8)]))
 	}
 	check := func() {
+		ix := in.IDs()
+		if ix.Small() {
+			t.Fatalf("%d rows: too few for posting containers", in.Len())
+		}
 		for col := 0; col < 2; col++ {
-			seen := make(map[relation.Value]int)
+			seen := 0
 			for _, v := range vals {
-				bucket := in.Lookup(col, relation.Value(v))
-				// Bucket must equal the filtered scan, in scan order.
-				var want []relation.Tuple
-				for _, tup := range in.Tuples() {
+				var want []int32
+				for r, tup := range in.Tuples() {
 					if tup[col] == relation.Value(v) {
-						want = append(want, tup)
+						want = append(want, int32(r))
 					}
 				}
-				if len(bucket) != len(want) {
-					t.Fatalf("col %d val %s: bucket size %d, want %d", col, v, len(bucket), len(want))
-				}
-				for i := range bucket {
-					if bucket[i].Key() != want[i].Key() {
-						t.Fatalf("col %d val %s: bucket[%d] = %v, want %v", col, v, i, bucket[i], want[i])
+				var got []int32
+				if id, ok := relation.Shared().ID(relation.Value(v)); ok {
+					p := ix.Postings(col, id)
+					got = append(got, p.Ranks...)
+					if p.Bits != nil {
+						p.Bits.ForEach(func(r int32) bool { got = append(got, r); return true })
 					}
 				}
-				if len(bucket) > 0 {
-					seen[relation.Value(v)] = len(bucket)
+				if !slices.Equal(got, want) {
+					t.Fatalf("col %d val %s: postings %v, want ranks %v", col, v, got, want)
+				}
+				if len(want) > 0 {
+					seen++
 				}
 			}
-			if got := in.Distinct(col); got != len(seen) {
-				t.Fatalf("col %d: Distinct = %d, want %d", col, got, len(seen))
+			if got := in.Distinct(col); got != seen {
+				t.Fatalf("col %d: Distinct = %d, want %d", col, got, seen)
 			}
 		}
 	}
 	check()
 	gen := in.Generation()
-	in.MustAdd(relation.T("e", "e"))
+	in.MustAdd(relation.T("z", "z"))
 	if in.Generation() == gen {
 		t.Fatal("Add did not bump the generation")
 	}
-	vals = append(vals, "e")
+	vals = append(vals, "z")
 	check()
 	gen = in.Generation()
-	in.Remove(relation.T("e", "e"))
+	in.Remove(relation.T("z", "z"))
 	if in.Generation() == gen {
 		t.Fatal("Remove did not bump the generation")
 	}
@@ -321,10 +299,9 @@ func TestTupleKeyCollisionFree(t *testing.T) {
 
 // TestPlanOrderCostBased pins the planner on a case where cardinality
 // matters: with a huge unselective relation and a tiny one, the
-// cost-based order must start from the tiny one even though the greedy
-// most-bound-first order would not.
+// cost-based order must start from the tiny one even though it comes
+// second in template order.
 func TestPlanOrderCostBased(t *testing.T) {
-	defer SetIndexJoin(SetIndexJoin(true))
 	big := relation.NewSchema("Big", relation.Attr("a"), relation.Attr("b"))
 	small := relation.NewSchema("Small", relation.Attr("b"))
 	d := relation.NewDatabase(big, small)
@@ -333,8 +310,8 @@ func TestPlanOrderCostBased(t *testing.T) {
 	}
 	d.MustAdd("Small", "y07")
 
-	// q(x) :- Big(x, y), Small(y). Greedy picks Big first (template
-	// order); cost-based starts at Small (1 tuple vs 50).
+	// q(x) :- Big(x, y), Small(y). Template order puts Big first;
+	// cost-based starts at Small (1 tuple vs 50).
 	q := New("plan", []query.Term{v("x")},
 		[]query.RelAtom{atom("Big", v("x"), v("y")), atom("Small", v("y"))})
 	tb, err := q.Compiled()

@@ -3,26 +3,11 @@ package cq
 import (
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
-
-// indexJoin gates the indexed join engine. When disabled (the -noindex
-// ablation), evaluation falls back to the original greedy planner and
-// pure nested-loop scans, giving a clean before/after comparison.
-var indexJoin atomic.Bool
-
-func init() { indexJoin.Store(true) }
-
-// SetIndexJoin toggles the indexed join engine and returns the previous
-// setting, so callers can restore it: defer cq.SetIndexJoin(cq.SetIndexJoin(x)).
-func SetIndexJoin(on bool) bool { return indexJoin.Swap(on) }
-
-// IndexJoinEnabled reports whether the indexed join engine is active.
-func IndexJoinEnabled() bool { return indexJoin.Load() }
 
 // Eval evaluates the CQ over the database and returns the set of answer
 // tuples in deterministic order. Boolean queries return either the empty
@@ -74,16 +59,27 @@ func (t *Tableau) Eval(d *relation.Database) []relation.Tuple {
 // shrink. EvalFunc*, the differential join and DeltaJoin enumerate
 // every match.
 func (t *Tableau) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tuple, error) {
-	if out, handled, err := t.evalGateInterned(d, g); handled {
-		return out, err
-	}
-	hc := &headCut{t: t, depth: -1, results: make(map[string]relation.Tuple), hbuf: make(relation.Tuple, len(t.Head))}
-	if err := t.evalLegacy(d, g, hc.leaf, hc); err != nil {
+	gs := gate(g)
+	var es evalStats
+	st := t.isetup(d, gs, &es)
+	w := len(t.Head)
+	a := &ianswers{seen: make(map[string]bool), hbuf: make([]int32, w)}
+	order := t.planOrder(d)
+	st.ans, st.cut = a, t.headCutDepth(order)
+	st.leaf = st.answerLeaf
+	st.run(order, 0)
+	es.flush()
+	if err := gs.finish(); err != nil {
 		return nil, err
 	}
-	out := make([]relation.Tuple, 0, len(hc.results))
-	for _, tup := range hc.results {
-		out = append(out, tup)
+	// The distinct answers materialize into one shared value array.
+	out := make([]relation.Tuple, a.count)
+	vals := make([]relation.Value, len(a.rows))
+	for i, id := range a.rows {
+		vals[i] = st.vals[id]
+	}
+	for i := range out {
+		out[i] = relation.Tuple(vals[i*w : (i+1)*w : (i+1)*w])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out, nil
@@ -93,8 +89,7 @@ func (t *Tableau) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tupl
 // join order: the first k such that templates order[:k] bind every
 // head variable, after which every match of a subtree has the same
 // head row. It is 0 for a Boolean or all-constant head, and -1 (no
-// cut) when only the last template completes the head or some head
-// variable is bound by no template. Both engines take the cut here.
+// cut) when only the last template completes the head.
 func (t *Tableau) headCutDepth(order []int) int {
 	depth := 0
 	for _, h := range t.Head {
@@ -117,61 +112,6 @@ func (t *Tableau) headCutDepth(order []int) int {
 	return depth
 }
 
-// cutSignal is the head cut's "subtree settled" signal, kept apart
-// from the join's stop return: a leaf below the cut records its head
-// row, sets settled and returns false to unwind the join to the cut,
-// where resume clears it and enumeration continues. A false return
-// with settled clear is a gate trip or a caller stop and keeps
-// unwinding.
-type cutSignal struct{ settled bool }
-
-// resume reports whether a stop that reached the cut level was the
-// settled signal (consuming it) rather than a stop of the whole join.
-func (c *cutSignal) resume() bool {
-	if !c.settled {
-		return false
-	}
-	c.settled = false
-	return true
-}
-
-// headCut is EvalGate's answer set on the legacy engine, together with
-// the state of the head cut that consults it.
-type headCut struct {
-	cutSignal
-	t       *Tableau
-	depth   int // plan position of the cut; -1 = none
-	results map[string]relation.Tuple
-	hbuf    relation.Tuple // the head row at the cut
-	kbuf    []byte         // hbuf's Key
-}
-
-// answered loads the head row under b into hbuf and kbuf and reports
-// whether it is already an answer.
-func (hc *headCut) answered(b query.Binding) bool {
-	for i, h := range hc.t.Head {
-		hc.hbuf[i], _ = b.Resolve(h)
-	}
-	hc.kbuf = hc.hbuf.AppendKey(hc.kbuf[:0])
-	_, ok := hc.results[string(hc.kbuf)]
-	return ok
-}
-
-// leaf records the head row of a complete match. Below a cut that row
-// is the one answered loaded, new by its test, so the leaf stores it
-// and reports the subtree settled, which unwinds the join to the cut.
-func (hc *headCut) leaf(b query.Binding) bool {
-	if hc.depth < 0 {
-		if h, ok := hc.t.HeadTuple(b); ok {
-			hc.results[h.Key()] = h
-		}
-		return true
-	}
-	hc.results[string(hc.kbuf)] = hc.hbuf.Clone()
-	hc.settled = true
-	return false
-}
-
 // EvalFunc enumerates all satisfying bindings of the tableau over d,
 // invoking fn for each; enumeration stops early when fn returns false.
 // The binding passed to fn is reused between calls — clone it to keep.
@@ -183,33 +123,11 @@ func (t *Tableau) EvalFunc(d *relation.Database, fn func(query.Binding) bool) {
 // enumerated by the join charges one row-step on g, and the first gate
 // error aborts enumeration and is returned. A nil gate is free.
 func (t *Tableau) EvalFuncGate(d *relation.Database, g *query.Gate, fn func(query.Binding) bool) error {
-	if handled, err := t.evalFuncInterned(d, g, fn); handled {
-		return err
-	}
-	return t.evalLegacy(d, g, fn, nil)
-}
-
-// evalLegacy runs the legacy engine's join, under EvalGate's head cut
-// when hc is non-nil.
-func (t *Tableau) evalLegacy(d *relation.Database, g *query.Gate, fn func(query.Binding) bool, hc *headCut) error {
-	if len(t.Templates) == 0 {
-		// A query without relation atoms never arises from Validate'd
-		// input, but handle it as "true once" if diseqs hold on the
-		// empty binding (i.e. there are no variable diseqs).
-		b := query.Binding{}
-		if t.DiseqsHold(b) {
-			fn(b)
-		}
-		return nil
-	}
-	order := t.planOrder(d)
-	if hc != nil {
-		hc.depth = t.headCutDepth(order)
-	}
-	b := make(query.Binding, len(t.Vars))
 	gs := gate(g)
 	var es evalStats
-	t.join(d, order, 0, b, fn, gs, &es, hc)
+	st := t.isetup(d, gs, &es)
+	st.leaf = st.bindingLeaf(t.Vars, fn)
+	st.run(t.planOrder(d), 0)
 	es.flush()
 	return gs.finish()
 }
@@ -304,18 +222,14 @@ func (gs *gateState) finish() error {
 	return gs.err
 }
 
-// planOrder orders the templates for the join. With the indexed engine
-// it is cost-based: each step picks the unused template with the lowest
-// estimated candidate count given the variables bound so far, where an
-// equality probe on a bound column of instance in is expected to match
-// about in.Len()/in.Distinct(col) tuples and an unbound template costs a
+// planOrder orders the templates for the join, cost-based: each step
+// picks the unused template with the lowest estimated candidate count
+// given the variables bound so far, where an equality probe on a bound
+// column of instance in is expected to match about
+// in.Len()/in.Distinct(col) tuples and an unbound template costs a
 // full scan. Ties break toward fewer newly-bound variables, then lowest
-// template position, keeping the order deterministic. With the engine
-// disabled it falls back to the original greedy most-bound-first order.
+// template position, keeping the order deterministic.
 func (t *Tableau) planOrder(d *relation.Database) []int {
-	if !IndexJoinEnabled() || d == nil {
-		return t.planOrderGreedy()
-	}
 	n := len(t.Templates)
 	used := make([]bool, n)
 	bound := make(map[string]bool)
@@ -369,132 +283,6 @@ func templateCost(d *relation.Database, atom query.RelAtom, bound map[string]boo
 	return cost, newVars
 }
 
-// planOrderGreedy is the legacy planner: order templates so that each
-// step binds as few new variables as possible.
-func (t *Tableau) planOrderGreedy() []int {
-	n := len(t.Templates)
-	used := make([]bool, n)
-	bound := make(map[string]bool)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		best, bestNew := -1, 1<<30
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			newVars := 0
-			for _, a := range t.Templates[i].Args {
-				if a.IsVar && !bound[a.Name] {
-					newVars++
-				}
-			}
-			if newVars < bestNew {
-				best, bestNew = i, newVars
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, a := range t.Templates[best].Args {
-			if a.IsVar {
-				bound[a.Name] = true
-			}
-		}
-	}
-	return order
-}
-
-// joinTuples returns the candidate tuples for matching atom under the
-// current binding: the most selective index bucket when some argument is
-// already bound (or constant) and indexing is enabled, otherwise the
-// full deterministic scan. Index buckets are sorted subsequences of the
-// full scan, so candidate enumeration order — and hence every
-// enumeration-order-sensitive observation downstream — is unchanged.
-// Probe-vs-scan decisions accumulate into es.
-func joinTuples(in *relation.Instance, atom query.RelAtom, b query.Binding, es *evalStats) []relation.Tuple {
-	if IndexJoinEnabled() {
-		if col, val, ok := bestBoundArg(in, atom, b); ok {
-			es.probes++
-			return in.Lookup(col, val)
-		}
-	}
-	es.scans++
-	return in.Tuples()
-}
-
-// bestBoundArg picks, among the atom's bound arguments (constants and
-// already-bound variables), the column with the most distinct values —
-// the most selective equality probe. The first such column wins ties,
-// keeping the choice deterministic.
-func bestBoundArg(in *relation.Instance, atom query.RelAtom, b query.Binding) (int, relation.Value, bool) {
-	best, bestDc := -1, -1
-	var bestVal relation.Value
-	for i, arg := range atom.Args {
-		var v relation.Value
-		if arg.IsVar {
-			bv, ok := b[arg.Name]
-			if !ok {
-				continue
-			}
-			v = bv
-		} else {
-			v = arg.Val
-		}
-		if dc := in.Distinct(i); dc > bestDc {
-			best, bestDc, bestVal = i, dc, v
-		}
-	}
-	return best, bestVal, best >= 0
-}
-
-// join recursively matches template order[k] against the database. At
-// EvalGate's cut level (hc non-nil, k == hc.depth) a settled head row
-// skips the subtree, and a new one stops at its first match.
-func (t *Tableau) join(d *relation.Database, order []int, k int, b query.Binding, fn func(query.Binding) bool, gs *gateState, es *evalStats, hc *headCut) bool {
-	if k == len(order) {
-		if !t.DiseqsHold(b) {
-			return true
-		}
-		return fn(b)
-	}
-	cut := hc != nil && k == hc.depth
-	if cut && hc.answered(b) {
-		return true
-	}
-	atom := t.Templates[order[k]]
-	in := d.Instance(atom.Rel)
-	if in == nil {
-		return true
-	}
-	for _, tup := range joinTuples(in, atom, b, es) {
-		es.rows++
-		if !gs.step() {
-			return false
-		}
-		newly := b.Match(atom, tup)
-		if newly == nil {
-			continue
-		}
-		ok := true
-		for _, dq := range t.Diseqs {
-			if holds, known := dq.Holds(b); known && !holds {
-				ok = false
-				break
-			}
-		}
-		cont := true
-		if ok {
-			cont = t.join(d, order, k+1, b, fn, gs, es, hc)
-		}
-		for _, v := range newly {
-			delete(b, v)
-		}
-		if !cont {
-			return cut && hc.resume()
-		}
-	}
-	return true
-}
-
 // EvalFuncDelta enumerates bindings of the tableau over d ∪ delta
 // restricted to matches that use at least one delta tuple, without ever
 // materializing the union. It implements one step of semi-naive
@@ -512,85 +300,7 @@ func (t *Tableau) EvalFuncDelta(d, delta *relation.Database, fn func(query.Bindi
 // candidate tuple charges one row-step; the first gate error aborts
 // enumeration and is returned. A nil gate is free.
 func (t *Tableau) EvalFuncDeltaGate(d, delta *relation.Database, g *query.Gate, fn func(query.Binding) bool) error {
-	if len(t.Templates) == 0 {
-		return nil // no templates: answers cannot change
-	}
-	if handled, err := t.evalFuncDeltaInterned(d, delta, g, fn); handled {
-		return err
-	}
-	gs := gate(g)
-	var es evalStats
-	for j := range t.Templates {
-		b := make(query.Binding, len(t.Vars))
-		if !t.joinDelta(d, delta, j, b, fn, gs, &es) {
-			break
-		}
-	}
-	es.flush()
-	return gs.finish()
-}
-
-// joinDelta is join with template deltaAt reading only from delta and
-// every other template reading the d/delta overlay. Template order is
-// positional (no planning): delta instances are typically tiny, so the
-// deltaAt template leads and binds its variables first.
-func (t *Tableau) joinDelta(d, delta *relation.Database, deltaAt int, b query.Binding, fn func(query.Binding) bool, gs *gateState, es *evalStats) bool {
-	// Visit deltaAt first, then the others positionally.
-	idx := make([]int, 0, len(t.Templates))
-	idx = append(idx, deltaAt)
-	for i := range t.Templates {
-		if i != deltaAt {
-			idx = append(idx, i)
-		}
-	}
-	var rec func(pos int) bool
-	rec = func(pos int) bool {
-		if pos == len(idx) {
-			if !t.DiseqsHold(b) {
-				return true
-			}
-			return fn(b)
-		}
-		atom := t.Templates[idx[pos]]
-		srcs := [2]*relation.Database{d, delta}
-		parts := srcs[:2]
-		if idx[pos] == deltaAt {
-			parts = srcs[1:2]
-		}
-		for _, src := range parts {
-			in := src.Instance(atom.Rel)
-			if in == nil {
-				continue
-			}
-			for _, tup := range joinTuples(in, atom, b, es) {
-				es.rows++
-				if !gs.step() {
-					return false
-				}
-				newly := b.Match(atom, tup)
-				if newly == nil {
-					continue
-				}
-				ok := true
-				for _, dq := range t.Diseqs {
-					if holds, known := dq.Holds(b); known && !holds {
-						ok = false
-						break
-					}
-				}
-				cont := true
-				if ok {
-					cont = rec(pos + 1)
-				}
-				for _, v := range newly {
-					delete(b, v)
-				}
-				if !cont {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return rec(0)
+	dj := t.PrepareDelta(d)
+	dj.st.leaf = dj.st.bindingLeaf(t.Vars, fn)
+	return dj.run(delta, g)
 }

@@ -2,23 +2,19 @@ package cq
 
 import (
 	"math/bits"
-	"sort"
 
 	"repro/internal/query"
 	"repro/internal/relation"
 )
 
-// This file is the interned join engine: the same recursion, planner,
-// probe choice and gate accounting as the string engine in eval.go, but
-// over dictionary ids and posting lists instead of Value maps and hash
-// buckets. The two engines must be observably identical — answer sets,
-// enumeration order, row/probe/scan counts, gate charges — because the
-// legacy path doubles as the correctness oracle (SetInterning ablation)
-// and the decision procedures compare BudgetStats across both. That
-// includes EvalGate's head cut: both engines take it at the plan
-// position Tableau.headCutDepth computes, skip the same settled
-// subtrees and stop each new answer's subtree at the same first match,
-// so a cut evaluation charges the same rows in either engine.
+// This file is the join engine behind every evaluation entry point:
+// a backtracking join over dictionary ids and the posting lists of
+// relation.IDIndex, in the cost-based order of Tableau.planOrder. At
+// each step it probes the bound column with the most distinct values,
+// or scans when no argument is bound, charges one gate row per
+// candidate, and checks each inequality as soon as both sides are
+// bound. EvalGate adds the head cut (Tableau.headCutDepth) on top. The
+// naive evaluator in package cqtest is its test oracle.
 
 // iterm is one compiled term: a non-negative value is an index into the
 // tableau's sorted Vars (a slot), a negative value encodes a constant
@@ -27,11 +23,7 @@ type iterm int32
 
 // iplan is the compiled slot plan of a tableau: templates, head and
 // inequality terms rewritten to variable slots and constant indexes.
-// ok is false when the plan cannot drive evaluation — no templates, or
-// a head/inequality variable that no template binds — in which case the
-// legacy engine runs.
 type iplan struct {
-	ok     bool
 	consts []relation.Value
 	tmpls  [][]iterm
 	head   []iterm
@@ -42,22 +34,14 @@ type iplan struct {
 // deterministic, so it runs unconditionally at BuildTableau time.
 func (t *Tableau) buildIPlan() *iplan {
 	ip := &iplan{}
-	if len(t.Templates) == 0 {
-		return ip
-	}
 	slot := make(map[string]int, len(t.Vars))
 	for i, v := range t.Vars {
 		slot[v] = i
 	}
 	constIdx := make(map[relation.Value]int)
-	covered := make([]bool, len(t.Vars))
-	term := func(tm query.Term, cover bool) iterm {
+	term := func(tm query.Term) iterm {
 		if tm.IsVar {
-			s := slot[tm.Name]
-			if cover {
-				covered[s] = true
-			}
-			return iterm(s)
+			return iterm(slot[tm.Name])
 		}
 		ci, ok := constIdx[tm.Val]
 		if !ok {
@@ -71,31 +55,24 @@ func (t *Tableau) buildIPlan() *iplan {
 	for i, a := range t.Templates {
 		args := make([]iterm, len(a.Args))
 		for j, tm := range a.Args {
-			args[j] = term(tm, true)
+			args[j] = term(tm)
 		}
 		ip.tmpls[i] = args
 	}
 	ip.head = make([]iterm, len(t.Head))
 	for i, h := range t.Head {
-		ip.head[i] = term(h, false)
+		ip.head[i] = term(h)
 	}
 	for _, dq := range t.Diseqs {
-		ip.diseqs = append(ip.diseqs, [2]iterm{term(dq.L, false), term(dq.R, false)})
-	}
-	ip.ok = true
-	for _, c := range covered {
-		if !c {
-			ip.ok = false
-			break
-		}
+		ip.diseqs = append(ip.diseqs, [2]iterm{term(dq.L), term(dq.R)})
 	}
 	return ip
 }
 
-// ijoin is one enumeration's state for the interned engine: the slot
-// binding (ids, -1 unbound), resolved constant ids, the trail of newly
-// bound slots for unwinding, and the per-template instances of the
-// base (and, for delta evaluation, delta) database.
+// ijoin is one enumeration's state: the slot binding (ids, -1
+// unbound), resolved constant ids, the trail of newly bound slots for
+// unwinding, and the per-template instances of the base (and, for
+// delta evaluation, delta) database.
 type ijoin struct {
 	ip   *iplan
 	vals []relation.Value // dictionary snapshot for materialization
@@ -120,18 +97,13 @@ type ijoin struct {
 	ans *ianswers
 }
 
-// isetup compiles the fast-path preconditions: interning on, a usable
-// plan, and every present template instance interned over the shared
-// dictionary with matching arity. ok=false sends the evaluation to the
-// legacy engine. The result is bound to d — instances and index views
-// by template position, constant ids resolved — and owns its slot,
-// trail and delta buffers, so it can drive any number of enumerations
-// over d (see DeltaJoin).
-func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) (*ijoin, bool) {
+// isetup binds the plan to d: instances and index views by template
+// position (an instance whose arity disagrees with its template counts
+// as absent), constant ids resolved. The result owns its slot, trail
+// and delta buffers, so it can drive any number of enumerations over d
+// (see DeltaJoin).
+func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) *ijoin {
 	ip := t.ip
-	if ip == nil || !ip.ok || !relation.InterningEnabled() {
-		return nil, false
-	}
 	dict := relation.Shared()
 	n := len(t.Templates)
 	nc, nv := len(ip.consts), len(t.Vars)
@@ -155,15 +127,10 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) (*i
 		cut:   -1,
 	}
 	for i, a := range t.Templates {
-		in := d.Instance(a.Rel)
-		if in == nil {
-			continue
+		if in := d.Instance(a.Rel); in != nil && in.Schema.Arity() == len(a.Args) {
+			st.ins[i] = in
+			st.ixs[i] = in.IDs()
 		}
-		if in.InternDict() != dict || in.Schema.Arity() != len(a.Args) {
-			return nil, false
-		}
-		st.ins[i] = in
-		st.ixs[i] = in.IDs()
 	}
 	for i, c := range ip.consts {
 		st.cids[i] = dict.Intern(c)
@@ -172,28 +139,19 @@ func (t *Tableau) isetup(d *relation.Database, gs *gateState, es *evalStats) (*i
 		st.slots[i] = -1
 	}
 	st.vals = dict.Snapshot()
-	return st, true
+	return st
 }
 
 // bindDelta points the delta half of the join at delta's instances,
-// by template position. ok=false means some involved delta instance is
-// not interned over the shared dictionary (or has the wrong arity), and
-// the evaluation must take the legacy engine.
-func (st *ijoin) bindDelta(templates []query.RelAtom, delta *relation.Database) bool {
-	dict := relation.Shared()
+// by template position, under isetup's arity rule.
+func (st *ijoin) bindDelta(templates []query.RelAtom, delta *relation.Database) {
 	for i, a := range templates {
 		st.dins[i], st.dixs[i] = nil, relation.IDIndex{}
-		in := delta.Instance(a.Rel)
-		if in == nil {
-			continue
+		if in := delta.Instance(a.Rel); in != nil && in.Schema.Arity() == len(a.Args) {
+			st.dins[i] = in
+			st.dixs[i] = in.IDs()
 		}
-		if in.InternDict() != dict || in.Schema.Arity() != len(a.Args) {
-			return false
-		}
-		st.dins[i] = in
-		st.dixs[i] = in.IDs()
 	}
-	return true
 }
 
 // resolve returns the id of a term under the current binding; bound is
@@ -231,8 +189,8 @@ func (st *ijoin) next(f iframe) bool {
 	return st.run(f.order, f.k+1)
 }
 
-// run recursively matches template order[k], mirroring Tableau.join,
-// head cut included.
+// run recursively matches template order[k], under EvalGate's head cut
+// when one is set.
 func (st *ijoin) run(order []int, k int) bool {
 	if k == len(order) {
 		return st.leaf()
@@ -251,8 +209,10 @@ func (st *ijoin) run(order []int, k int) bool {
 	return cut && st.ans.resume()
 }
 
-// runDelta mirrors Tableau.joinDelta: template idx[k] reads only delta
-// when it is the deltaAt position, otherwise d then delta.
+// runDelta is run for the differential join: template idx[k] reads
+// only delta when it is the deltaAt position, otherwise d then delta.
+// The plan is positional: delta instances are typically tiny, so the
+// deltaAt template leads and binds its variables first.
 func (st *ijoin) runDelta(idx []int, k, deltaAt int) bool {
 	if k == len(idx) {
 		return st.leaf()
@@ -276,8 +236,7 @@ func (st *ijoin) runDelta(idx []int, k, deltaAt int) bool {
 }
 
 // runDeltaAll drives one delta pass per template position, with a
-// fresh binding each time — the interned counterpart of the
-// EvalFuncDeltaGate loop body.
+// fresh binding each time.
 func (st *ijoin) runDeltaAll(n int) {
 	var ib [8]int
 	idx := ib[:min(n, len(ib))]
@@ -304,22 +263,20 @@ func (st *ijoin) runDeltaAll(n int) {
 }
 
 // enum enumerates the candidate rows of one template against one
-// instance: the most selective posting container when an argument is
-// bound and indexing is enabled (the same probe-column rule as
-// bestBoundArg, so candidate sets and counts match the legacy engine
-// exactly), otherwise the full rank scan.
+// instance: when an argument is bound, the posting container of the
+// bound column with the most distinct values (the first such column on
+// ties), otherwise the full rank scan. Both visit rows in ascending
+// rank, i.e. in Tuples() order.
 func (st *ijoin) enum(ix relation.IDIndex, args []iterm, f iframe) bool {
 	probeCol, bestDc := -1, -1
 	var probeID int32
-	if IndexJoinEnabled() {
-		for i, a := range args {
-			id, bound := st.resolve(a)
-			if !bound {
-				continue
-			}
-			if dc := ix.Distinct(i); dc > bestDc {
-				probeCol, probeID, bestDc = i, id, dc
-			}
+	for i, a := range args {
+		id, bound := st.resolve(a)
+		if !bound {
+			continue
+		}
+		if dc := ix.Distinct(i); dc > bestDc {
+			probeCol, probeID, bestDc = i, id, dc
 		}
 	}
 	if probeCol >= 0 {
@@ -410,17 +367,34 @@ func (st *ijoin) tryRank(ix relation.IDIndex, args []iterm, rank int32, f iframe
 	return cont
 }
 
-// ianswers is EvalGate's answer set on the interned engine: distinct
-// head rows deduplicated on fixed-width id-keys (no per-leaf Binding,
-// HeadTuple or string Key) and stored back to back, together with the
-// state of the head cut that consults it.
+// ianswers is EvalGate's answer set: distinct head rows deduplicated
+// on fixed-width id-keys (no per-leaf Binding, HeadTuple or string Key)
+// and stored back to back, together with the state of the head cut
+// that consults it.
 type ianswers struct {
-	cutSignal
 	seen  map[string]bool
 	rows  []int32
 	count int
 	hbuf  []int32 // the current head row
 	kbuf  []byte  // hbuf's id-key
+
+	// settled is the head cut's "subtree settled" signal, kept apart
+	// from the join's stop return: a leaf below the cut records its
+	// head row, sets settled and returns false to unwind the join to
+	// the cut, where resume clears it and enumeration continues. A
+	// false return with settled clear is a gate trip or a caller stop
+	// and keeps unwinding.
+	settled bool
+}
+
+// resume reports whether a stop that reached the cut level was the
+// settled signal (consuming it) rather than a stop of the whole join.
+func (a *ianswers) resume() bool {
+	if !a.settled {
+		return false
+	}
+	a.settled = false
+	return true
 }
 
 // answered loads the current head row into hbuf and kbuf and reports
@@ -457,43 +431,10 @@ func (st *ijoin) answerLeaf() bool {
 	return false
 }
 
-// evalGateInterned is the fast path of EvalGate: answers accumulate in
-// an ianswers set and materialize to sorted tuples once at the end.
-// handled=false falls back to the legacy engine.
-func (t *Tableau) evalGateInterned(d *relation.Database, g *query.Gate) (out []relation.Tuple, handled bool, err error) {
-	gs := gate(g)
-	var es evalStats
-	st, ok := t.isetup(d, gs, &es)
-	if !ok {
-		return nil, false, nil
-	}
-	w := len(t.Head)
-	a := &ianswers{seen: make(map[string]bool), hbuf: make([]int32, w)}
-	order := t.planOrder(d)
-	st.ans, st.cut = a, t.headCutDepth(order)
-	st.leaf = st.answerLeaf
-	st.run(order, 0)
-	es.flush()
-	if err := gs.finish(); err != nil {
-		return nil, true, err
-	}
-	// The distinct answers materialize into one shared value array.
-	out = make([]relation.Tuple, a.count)
-	vals := make([]relation.Value, len(a.rows))
-	for i, id := range a.rows {
-		vals[i] = st.vals[id]
-	}
-	for i := range out {
-		out[i] = relation.Tuple(vals[i*w : (i+1)*w : (i+1)*w])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out, true, nil
-}
-
 // bindingLeaf adapts a Binding-consuming fn to the slot engine: one
-// reused map is refreshed from the slots at each leaf. All slots are
-// bound there (the plan requires template coverage), so the contents
-// match the legacy engine's binding exactly.
+// reused map is refreshed from the slots at each leaf. Every tableau
+// variable occurs in a template (BuildTableau), so all slots are bound
+// there.
 func (st *ijoin) bindingLeaf(vars []string, fn func(query.Binding) bool) func() bool {
 	b := make(query.Binding, len(vars))
 	return func() bool {
@@ -502,31 +443,6 @@ func (st *ijoin) bindingLeaf(vars []string, fn func(query.Binding) bool) func() 
 		}
 		return fn(b)
 	}
-}
-
-// evalFuncInterned is the fast path of EvalFuncGate.
-func (t *Tableau) evalFuncInterned(d *relation.Database, g *query.Gate, fn func(query.Binding) bool) (handled bool, err error) {
-	gs := gate(g)
-	var es evalStats
-	st, ok := t.isetup(d, gs, &es)
-	if !ok {
-		return false, nil
-	}
-	st.leaf = st.bindingLeaf(t.Vars, fn)
-	st.run(t.planOrder(d), 0)
-	es.flush()
-	return true, gs.finish()
-}
-
-// evalFuncDeltaInterned is the fast path of EvalFuncDeltaGate: the
-// prepared differential join with a Binding leaf.
-func (t *Tableau) evalFuncDeltaInterned(d, delta *relation.Database, g *query.Gate, fn func(query.Binding) bool) (handled bool, err error) {
-	dj, ok := t.PrepareDelta(d)
-	if !ok {
-		return false, nil
-	}
-	dj.st.leaf = dj.st.bindingLeaf(t.Vars, fn)
-	return dj.run(delta, g)
 }
 
 // DeltaJoin is a tableau's differential join (see EvalFuncDeltaGate)
@@ -549,21 +465,12 @@ type DeltaJoin struct {
 }
 
 // PrepareDelta binds the tableau to d for repeated differential
-// evaluation. ok is false when the interned engine cannot serve d (no
-// templates, an unusable plan, legacy storage or interning off); the
-// caller then evaluates through EvalFuncDeltaGate.
-func (t *Tableau) PrepareDelta(d *relation.Database) (*DeltaJoin, bool) {
-	if len(t.Templates) == 0 {
-		return nil, false
-	}
-	st, ok := t.isetup(d, nil, nil)
-	if !ok {
-		return nil, false
-	}
-	dj := &DeltaJoin{t: t, st: *st, hbuf: make([]int32, len(t.Head))}
+// evaluation.
+func (t *Tableau) PrepareDelta(d *relation.Database) *DeltaJoin {
+	dj := &DeltaJoin{t: t, st: *t.isetup(d, nil, nil), hbuf: make([]int32, len(t.Head))}
 	dj.st.es = &dj.es
 	dj.st.leaf = dj.headLeaf
-	return dj, true
+	return dj
 }
 
 // Clone returns an independent DeltaJoin sharing the read-only binding
@@ -595,23 +502,19 @@ func (dj *DeltaJoin) headLeaf() bool {
 // exactly as EvalFuncDeltaGate does — the same enumeration, row charges
 // and gate flush points — handing each match's head row to fn as
 // dictionary ids (the slice is reused between calls). fn returning
-// false stops the enumeration. handled=false means some delta instance
-// uses legacy storage and the caller must fall back to
-// EvalFuncDeltaGate.
-func (dj *DeltaJoin) Run(delta *relation.Database, g *query.Gate, fn func(head []int32) bool) (handled bool, err error) {
+// false stops the enumeration.
+func (dj *DeltaJoin) Run(delta *relation.Database, g *query.Gate, fn func(head []int32) bool) error {
 	dj.fn = fn
-	handled, err = dj.run(delta, g)
+	err := dj.run(delta, g)
 	dj.fn = nil
-	return handled, err
+	return err
 }
 
 // run binds delta and drives one delta pass per template position
 // under a fresh per-evaluation gate state.
-func (dj *DeltaJoin) run(delta *relation.Database, g *query.Gate) (handled bool, err error) {
+func (dj *DeltaJoin) run(delta *relation.Database, g *query.Gate) error {
 	st := &dj.st
-	if !st.bindDelta(dj.t.Templates, delta) {
-		return false, nil
-	}
+	st.bindDelta(dj.t.Templates, delta)
 	st.gs = nil
 	if g != nil {
 		dj.gs = gateState{g: g}
@@ -622,5 +525,5 @@ func (dj *DeltaJoin) run(delta *relation.Database, g *query.Gate) (handled bool,
 	clear(st.dins)
 	clear(st.dixs)
 	dj.es.flush()
-	return true, st.gs.finish()
+	return st.gs.finish()
 }

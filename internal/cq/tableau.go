@@ -34,9 +34,7 @@ type Tableau struct {
 	Diseqs    []query.EqAtom  // remaining ≠ conditions (rewritten)
 	Vars      []string        // sorted distinct variables of the tableau
 
-	// ip is the compiled slot plan of the interned join engine
-	// (ieval.go); nil on hand-built tableaux, which then evaluate on
-	// the legacy string path.
+	// ip is the compiled slot plan of the join engine (ieval.go).
 	ip *iplan
 }
 
@@ -121,7 +119,8 @@ func (u *unionFind) resolve(t query.Term) query.Term {
 // BuildTableau folds the equality conditions of q into a tableau. It
 // returns ErrUnsatisfiable when the equalities are contradictory or an
 // inequality is trivially violated (x ≠ x, or c ≠ c on the same
-// constant).
+// constant), and an error for an unsafe query (one CQ.Validate
+// rejects): a head or inequality variable that no relation atom binds.
 func BuildTableau(q *CQ) (*Tableau, error) {
 	tableauBuilds.Add(1)
 	obs.TableauBuilds.Inc()
@@ -193,6 +192,11 @@ func BuildTableau(q *CQ) (*Tableau, error) {
 			addVar(r)
 		}
 	}
+	for _, x := range t.Vars {
+		if !slices.ContainsFunc(t.Templates, func(a query.RelAtom) bool { return slices.Contains(a.Args, query.Var(x)) }) {
+			return nil, fmt.Errorf("cq %s: unsafe variable %s (not bound by any relation atom)", q.Name, x)
+		}
+	}
 	sort.Strings(t.Vars)
 	t.ip = t.buildIPlan()
 	return t, nil
@@ -227,16 +231,15 @@ func (t *Tableau) Apply(b query.Binding, schemas map[string]*relation.Schema) (*
 // ApplyIDs is Apply for a valuation already in id space: rows[i] is the
 // ground row of template i as ids of the shared dictionary
 // (relation.Shared). The rows are written straight into the fragment's
-// columns — no Binding, no value tuple, no dictionary interning — and
-// a legacy-storage fragment receives the values the ids denote. The
+// columns — no Binding, no value tuple, no dictionary interning. The
 // rows are copied, so callers may reuse them.
 //
 // reuse, when non-nil, is a fragment an earlier Apply/ApplyIDs of this
 // tableau returned and the caller is done with: the decision
 // procedures instantiate the templates once per candidate valuation
 // and discard the result almost every time, so its storage is emptied
-// and refilled in place when it matches (same relations, schemas and
-// storage mode). No reference into it may survive the call.
+// and refilled in place when it matches (same relations and schemas).
+// No reference into it may survive the call.
 func (t *Tableau) ApplyIDs(rows [][]int32, schemas map[string]*relation.Schema, reuse *relation.Database) (*relation.Database, error) {
 	if len(rows) != len(t.Templates) {
 		return nil, fmt.Errorf("cq: %d id rows for %d templates", len(rows), len(t.Templates))
@@ -278,16 +281,15 @@ outer:
 }
 
 // fragmentMatches reports whether db has exactly the templates'
-// relations, with the schema objects of schemas and the storage mode a
-// fresh build would use (a mismatch only arises when one tableau is
-// applied under different schema maps, or across a SetInterning flip).
-// It allocates nothing: the decision procedures ask once per candidate
+// relations, with the schema objects of schemas (a mismatch only
+// arises when one tableau is applied under different schema maps). It
+// allocates nothing: the decision procedures ask once per candidate
 // valuation.
 func (t *Tableau) fragmentMatches(db *relation.Database, schemas map[string]*relation.Schema) bool {
 	distinct := 0
 	for i, a := range t.Templates {
 		in := db.Instance(a.Rel)
-		if in == nil || in.Schema != schemas[a.Rel] || in.Interned() != relation.InterningEnabled() {
+		if in == nil || in.Schema != schemas[a.Rel] {
 			return false
 		}
 		if !slices.ContainsFunc(t.Templates[:i], func(b query.RelAtom) bool { return b.Rel == a.Rel }) {

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"expvar"
+	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -110,10 +112,37 @@ const (
 
 // NewServer returns an http.Server for h that closes a connection whose
 // request headers take longer than readHeader to arrive, or that sits
-// idle between requests for longer than idle (0 = no limit). Request
-// bodies are capped by the handlers (http.MaxBytesReader), not here.
+// idle between requests for longer than idle (0 = no limit), and that
+// answers a handler panic with a 500 (see Recover). Request bodies are
+// capped by the handlers (http.MaxBytesReader), not here.
 func NewServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
+	return &http.Server{Handler: Recover(h), ReadHeaderTimeout: readHeader, IdleTimeout: idle}
+}
+
+// Recover wraps h so that a panic in a handler is logged with its
+// stack, counted in ServePanics and answered with a 500 JSON error,
+// where net/http alone would drop the connection. The handler's
+// deferred cleanup — admission and worker slots among it — has run by
+// the time the panic reaches the wrapper. http.ErrAbortHandler, the
+// deliberate abort, passes through.
+func Recover(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			p := recover()
+			if p == nil {
+				return
+			}
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
+			ServePanics.Inc()
+			log.Printf("obs: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusInternalServerError)
+			_, _ = w.Write([]byte(`{"error":"internal error: the handler panicked"}` + "\n"))
+		}()
+		h.ServeHTTP(w, r)
+	})
 }
 
 // Serve starts the observability endpoint on addr in a background

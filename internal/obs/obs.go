@@ -62,9 +62,9 @@ var (
 	// engine (the same unit the row-step budget charges).
 	JoinRows = NewCounter("relcomp_cq_join_rows_total",
 		"candidate join rows enumerated")
-	// IndexProbes counts join steps answered from a column hash index.
+	// IndexProbes counts join steps answered by probing a bound column.
 	IndexProbes = NewCounter("relcomp_cq_index_probes_total",
-		"join steps answered by an index bucket lookup")
+		"join steps answered by a posting-list probe")
 	// FullScans counts join steps that fell back to a full instance scan.
 	FullScans = NewCounter("relcomp_cq_full_scans_total",
 		"join steps answered by a full instance scan")
@@ -87,11 +87,10 @@ var (
 	// by an insert-only master batch instead of rebuilt.
 	PDmPatches = NewCounter("relcomp_cc_pdm_cache_patches_total",
 		"master-side projection cache incremental patches")
-	// IndexBuilds counts secondary column-index materializations in the
-	// relation substrate (legacy hash indexes and interned posting
-	// columns alike).
+	// IndexBuilds counts per-column posting-list materializations in
+	// the relation substrate.
 	IndexBuilds = NewCounter("relcomp_relation_index_builds_total",
-		"column hash-index builds")
+		"column posting-list builds")
 	// DictSize gauges the number of distinct values interned in the
 	// process-wide dictionary (relation.Shared). It only grows: ids are
 	// never reused.
@@ -236,6 +235,10 @@ var (
 	// serving layer by result (hit, miss).
 	ServeQueryCache = NewCounterVec("relserve_query_cache_total",
 		"serving-layer compiled-query cache lookups", "result")
+	// ServePanics counts handler panics that NewServer's recovery
+	// turned into 500 responses.
+	ServePanics = NewCounter("relserve_panics_total",
+		"handler panics answered with a 500 response")
 	// ServeQueueOccupancy gauges admitted requests waiting for a worker
 	// slot (executing requests excluded): rising occupancy is the
 	// leading saturation indicator, visible before 429s start.

@@ -69,7 +69,7 @@ func (b Batch) Relations() []string {
 // sorted-name order; duplicate inserts and absent deletes are no-ops.
 // It returns the number of rows actually added and removed.
 //
-// Insert-only batches against an interned instance whose posting set
+// Insert-only batches against an instance whose posting set
 // is current extend the index incrementally: the new rows merge into
 // the existing rank permutation in O(n + b) instead of the O(n log n)
 // rebuild a cold access would pay (see Instance.insertBatch). Like
@@ -144,17 +144,15 @@ func sortedKeys(m map[string][]Tuple) []string {
 }
 
 // insertBatch adds pre-validated tuples and returns the number of rows
-// actually inserted. When the instance is interned and its published
-// posting set is current, the fresh rows are merged into the existing
+// actually inserted. When the instance's published posting set is
+// current, the fresh rows are merged into the existing
 // rank permutation instead of leaving the whole index to a cold
 // rebuild: an insert-only batch never moves existing rows, so the old
 // permutation stays a sorted prefix-set of the new one.
 func (in *Instance) insertBatch(ts []Tuple) int {
 	var old *postingSet
-	if in.dict != nil {
-		if ps := in.postings.Load(); ps != nil && ps.gen == in.gen {
-			old = ps
-		}
+	if ps := in.postings.Load(); ps != nil && ps.gen == in.gen {
+		old = ps
 	}
 	n0 := in.n
 	before := in.Len()
@@ -175,7 +173,7 @@ func (in *Instance) insertBatch(ts []Tuple) int {
 // comparisons instead of the O(n log n) re-sort of buildPostingBase.
 // Per-column posting containers rebuild lazily on demand, as always.
 func (in *Instance) mergePostings(old *postingSet, n0 int) *postingSet {
-	vals := in.dict.Snapshot()
+	vals := shared.Snapshot()
 	fresh := make([]int32, in.n-n0)
 	for i := range fresh {
 		fresh[i] = int32(n0 + i)

@@ -9,13 +9,11 @@ import (
 	"repro/internal/obs"
 )
 
-// This file holds the columnar side of Instance: fixed-width id keys,
-// the per-generation posting-list index, and the IDIndex view consumed
-// by the integer join engine in internal/cq. The string-map storage in
-// relation.go stays alive behind SetInterning(false) as the correctness
-// oracle; everything here must be observably identical to it (tuple
-// order, bucket order, distinct counts), which the cross-validation
-// suites assert.
+// This file holds the index side of Instance: fixed-width id keys, the
+// per-generation posting-list index, and the IDIndex view consumed by
+// the join engine in internal/cq. Every order it exposes — ranks,
+// posting containers — follows Tuple.Less over the values, so it agrees
+// with Instance.Tuples.
 
 // inlineArity is the arity up to which id scratch buffers live on the
 // stack; wider tuples (rare) fall back to heap slices.
@@ -92,9 +90,9 @@ func (b *Bitset) ForEach(fn func(rank int32) bool) bool {
 // postingSet is one generation's columnar index: the rank permutation
 // ordering rows lexicographically (by value strings, matching
 // Tuple.Less), per-column id slices in that order, and lazily built
-// per-column posting containers. Like indexSet it is published with
-// compare-and-swap and never mutated after a column slot fills, so
-// concurrent readers of a quiescent instance need no locks.
+// per-column posting containers. It is published with compare-and-swap
+// and never mutated after a column slot fills, so concurrent readers of
+// a quiescent instance need no locks.
 type postingSet struct {
 	gen  uint64
 	rank []int32 // rank (sorted position) -> row
@@ -120,11 +118,6 @@ type postingCol struct {
 	offs   []int32   // offs[i] = start into ranks, or -1 for a Bitset
 	ranks  []int32   // concatenated rank arrays of the sparse ids
 	bits   []*Bitset // bits[i] = the Bitset of ids[i] when offs[i] < 0
-
-	// tbuckets lazily materializes value → []Tuple buckets for the
-	// legacy Lookup API on interned instances (only paid when a caller
-	// actually mixes the string path with columnar storage).
-	tbuckets atomic.Pointer[map[Value][]Tuple]
 }
 
 // denseWorthy decides the array-vs-bitmap switch-over: a value needs
@@ -152,8 +145,9 @@ type Postings struct {
 const ordSortMinRows = 64
 
 // ensurePostings returns the posting set for the current generation,
-// building and publishing it on first use with the same benign-race CAS
-// discipline as index().
+// building and publishing it on first use. Concurrent first uses may
+// build the same set twice, but every build of one generation is
+// identical, so losing the compare-and-swap is benign.
 func (in *Instance) ensurePostings() *postingSet {
 	set := in.postings.Load()
 	if set == nil || set.gen != in.gen {
@@ -243,7 +237,7 @@ func (in *Instance) buildPostingBase() *postingSet {
 	}
 	if arity > 0 {
 		if n < ordSortMinRows {
-			vals := in.dict.Snapshot()
+			vals := shared.Snapshot()
 			slices.SortFunc(rank, func(a, b int32) int { return in.rowCompare(vals, a, b) })
 		} else {
 			in.sortByOrderCodes(rank)
@@ -270,7 +264,7 @@ func fillRankCols(scols, cols [][]int32, rank, backing []int32) {
 	}
 }
 
-// rowCompare orders two rows of an interned instance by their value
+// rowCompare orders two rows of an instance by their value
 // strings, exactly as Tuple.Less orders the materialized tuples.
 func (in *Instance) rowCompare(vals []Value, r1, r2 int32) int {
 	for c := range in.cols {
@@ -290,7 +284,7 @@ func (in *Instance) rowCompare(vals []Value, r1, r2 int32) int {
 // pass per column, last column first (LSD radix over the codes).
 func (in *Instance) sortByOrderCodes(rank []int32) {
 	n, arity := in.n, len(in.cols)
-	vals := in.dict.Snapshot()
+	vals := shared.Snapshot()
 	pairs := make([]uint64, n)
 	// codes holds every column's order codes back to back; the scratch
 	// slices after it serve one column (or one pass) at a time.
@@ -430,25 +424,17 @@ func (pc *postingCol) postings(id int32) Postings {
 	return Postings{Ranks: pc.ranks[pc.offs[i] : pc.offs[i]+pc.counts[i]], N: pc.counts[i]}
 }
 
-// IDIndex is the read-only interned view of an instance: row ids in
-// deterministic rank order plus on-demand posting containers. The zero
-// IDIndex (from a legacy instance) is invalid.
+// IDIndex is the read-only id view of an instance: row ids in
+// deterministic rank order plus on-demand posting containers.
 type IDIndex struct {
 	in *Instance
 	ps *postingSet
 }
 
-// IDs returns the interned view of the instance; the zero IDIndex when
-// the instance uses legacy string-map storage.
+// IDs returns the id view of the instance's current generation.
 func (in *Instance) IDs() IDIndex {
-	if in.dict == nil {
-		return IDIndex{}
-	}
 	return IDIndex{in: in, ps: in.ensurePostings()}
 }
-
-// Valid reports whether the view is backed by interned storage.
-func (ix IDIndex) Valid() bool { return ix.in != nil }
 
 // Rows returns the number of rows.
 func (ix IDIndex) Rows() int { return len(ix.ps.rank) }
@@ -479,8 +465,7 @@ const smallIndexRows = 24
 // probe by scanning Col instead of requesting posting containers.
 func (ix IDIndex) Small() bool { return len(ix.ps.rank) <= smallIndexRows }
 
-// Distinct returns the number of distinct ids in column c — the same
-// selectivity statistic the legacy hash index reports.
+// Distinct returns the number of distinct ids in column c.
 func (ix IDIndex) Distinct(c int) int {
 	if c < 0 || c >= len(ix.ps.scols) {
 		return 0
@@ -509,61 +494,11 @@ func (ix IDIndex) Distinct(c int) int {
 	return len(pc.ids)
 }
 
-// lookupInterned serves the legacy Lookup API on an interned instance:
-// value → sorted tuple bucket. Buckets materialize lazily per column
-// (CAS-published on the posting column), so the cost is only paid when
-// a caller actually uses the string path against columnar storage.
-func (in *Instance) lookupInterned(col int, v Value) []Tuple {
-	if col < 0 || col >= len(in.cols) {
-		return nil
-	}
-	ps := in.ensurePostings()
-	pc := in.postingColFor(ps, col)
-	if pc == nil {
-		// Small instance without posting-container slots: materialize
-		// the buckets per call, which at these sizes costs less than a
-		// cache would.
-		return in.buildTupleBuckets(ps, col)[v]
-	}
-	tb := pc.tbuckets.Load()
-	if tb == nil {
-		m := in.buildTupleBuckets(ps, col)
-		pc.tbuckets.CompareAndSwap(nil, &m)
-		tb = pc.tbuckets.Load()
-		if tb == nil {
-			tb = &m
-		}
-	}
-	return (*tb)[v]
-}
-
-// buildTupleBuckets materializes value → []Tuple for one column from
-// the rank-ordered columns, without touching the shared sorted cache
-// (so concurrent builds never race it). Ascending rank order keeps each
-// bucket sorted by Tuple.Less.
-func (in *Instance) buildTupleBuckets(ps *postingSet, col int) map[Value][]Tuple {
-	vals := in.dict.Snapshot()
-	arity := len(in.cols)
-	buckets := make(map[Value][]Tuple)
-	for k := range ps.rank {
-		t := make(Tuple, arity)
-		for c := 0; c < arity; c++ {
-			t[c] = vals[ps.scols[c][k]]
-		}
-		buckets[t[col]] = append(buckets[t[col]], t)
-	}
-	return buckets
-}
-
 // ProjectIDSet returns the set of fixed-width id-keys of the distinct
-// projections of the instance onto cols; ok is false when the instance
-// uses legacy storage. Keys are comparable across instances because
-// every interned instance shares the process-wide dictionary — this is
-// what the p(Dm) memo in internal/cc keys on.
-func (in *Instance) ProjectIDSet(cols []int) (map[string]bool, bool) {
-	if in.dict == nil {
-		return nil, false
-	}
+// projections of the instance onto cols. Keys are comparable across
+// instances because every instance shares the process-wide dictionary
+// — this is what the p(Dm) memo in internal/cc keys on.
+func (in *Instance) ProjectIDSet(cols []int) map[string]bool {
 	seen := make(map[string]bool, in.n)
 	kb := make([]byte, 0, 4*len(cols))
 	for r := 0; r < in.n; r++ {
@@ -575,5 +510,5 @@ func (in *Instance) ProjectIDSet(cols []int) (map[string]bool, bool) {
 			seen[string(kb)] = true
 		}
 	}
-	return seen, true
+	return seen
 }

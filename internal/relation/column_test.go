@@ -17,8 +17,6 @@ import (
 // and each instance is rebuilt through Reset so that recycled sets are
 // covered too.
 func TestPostingBaseMatchesTupleOrder(t *testing.T) {
-	prev := SetInterning(true)
-	t.Cleanup(func() { SetInterning(prev) })
 	s := NewSchema("R", Attr("a"), Attr("b"), Attr("c"))
 	rng := rand.New(rand.NewSource(5))
 	// Value spellings whose string order differs from first-seen id
@@ -94,8 +92,6 @@ func TestPostingBaseMatchesTupleOrder(t *testing.T) {
 // Reset instance refilled with up to smallIndexRows id rows builds its
 // index view into the retired set's buffers, allocating nothing.
 func TestRecycledFragmentAllocs(t *testing.T) {
-	prev := SetInterning(true)
-	t.Cleanup(func() { SetInterning(prev) })
 	s := NewSchema("R", Attr("a"), Attr("b"))
 	rows := make([][]int32, smallIndexRows)
 	for i := range rows {
@@ -154,30 +150,25 @@ func TestDictClonesFirstSeenValues(t *testing.T) {
 }
 
 // TestAddStringsMatchesAdd: AddStrings must hold the same tuples as
-// Add in both storage modes, treat duplicates as no-ops and reject
+// Add, treat duplicates as no-ops and reject
 // exactly what Add rejects, with Add's messages.
 func TestAddStringsMatchesAdd(t *testing.T) {
-	prev := SetInterning(true)
-	t.Cleanup(func() { SetInterning(prev) })
 	s := NewSchema("R", Attr("a"), FinAttr("f", "0", "1"))
 	rows := [][]string{{"u", "0"}, {"v", "1"}, {"u", "0"}, {"w", "1"}}
-	for _, interned := range []bool{true, false} {
-		SetInterning(interned)
-		byVal, byStr := NewInstance(s), NewInstance(s)
-		for _, r := range rows {
-			byVal.MustAdd(T(r...))
-			if err := byStr.AddStrings(r); err != nil {
-				t.Fatalf("interned=%v: AddStrings(%v): %v", interned, r, err)
-			}
+	byVal, byStr := NewInstance(s), NewInstance(s)
+	for _, r := range rows {
+		byVal.MustAdd(T(r...))
+		if err := byStr.AddStrings(r); err != nil {
+			t.Fatalf("AddStrings(%v): %v", r, err)
 		}
-		if !byStr.Equal(byVal) || byStr.Len() != 3 {
-			t.Fatalf("interned=%v: AddStrings gave %v, Add gave %v", interned, byStr, byVal)
-		}
-		for _, bad := range [][]string{{"u", "2"}, {"u"}, {"u", "0", "x"}} {
-			errStr, errVal := byStr.AddStrings(bad), byVal.Add(T(bad...))
-			if errStr == nil || errVal == nil || errStr.Error() != errVal.Error() {
-				t.Fatalf("interned=%v: AddStrings(%v) error %v, Add says %v", interned, bad, errStr, errVal)
-			}
+	}
+	if !byStr.Equal(byVal) || byStr.Len() != 3 {
+		t.Fatalf("AddStrings gave %v, Add gave %v", byStr, byVal)
+	}
+	for _, bad := range [][]string{{"u", "2"}, {"u"}, {"u", "0", "x"}} {
+		errStr, errVal := byStr.AddStrings(bad), byVal.Add(T(bad...))
+		if errStr == nil || errVal == nil || errStr.Error() != errVal.Error() {
+			t.Fatalf("AddStrings(%v) error %v, Add says %v", bad, errStr, errVal)
 		}
 	}
 }
@@ -187,8 +178,6 @@ func TestAddStringsMatchesAdd(t *testing.T) {
 // rebuild into the retired set, and every reader must see the same,
 // correct order.
 func TestRecycledViewConcurrentReaders(t *testing.T) {
-	prev := SetInterning(true)
-	t.Cleanup(func() { SetInterning(prev) })
 	s := NewSchema("R", Attr("a"), Attr("b"))
 	in := NewInstance(s)
 	for round := 0; round < 20; round++ {

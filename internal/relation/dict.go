@@ -44,8 +44,7 @@ func NewDict() *Dict {
 	return &Dict{ids: make(map[Value]int32)}
 }
 
-// shared is the process-wide dictionary used by every interned
-// instance. A single table (rather than per-database tables) keeps ids
+// shared is the process-wide dictionary used by every instance. A single table (rather than per-database tables) keeps ids
 // comparable across D, Δ-deltas and Dm, which is what lets the join
 // engine and the p(Dm) memo compare keys without translating ids; the
 // server's catalog entries inherit it, so cross-request caches stay
@@ -216,23 +215,3 @@ func (d *Dict) SortedIDValues(set []uint64) []Value {
 	}
 	return out
 }
-
-// interning gates interned columnar storage for newly built instances.
-// When disabled (the -nointern ablation), NewInstance falls back to the
-// original string-keyed tuple map, which stays alive as the correctness
-// oracle for the columnar engine. The storage mode of an instance is
-// fixed at construction: flipping the toggle never changes existing
-// instances, it only selects the representation of instances built
-// afterwards.
-var interning atomic.Bool
-
-func init() { interning.Store(true) }
-
-// SetInterning toggles interned storage for subsequently built
-// instances and returns the previous setting, so callers can restore
-// it: defer relation.SetInterning(relation.SetInterning(x)).
-func SetInterning(on bool) bool { return interning.Swap(on) }
-
-// InterningEnabled reports whether new instances use interned columnar
-// storage.
-func InterningEnabled() bool { return interning.Load() }

@@ -17,8 +17,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // Value is a single database value. Values compare by string identity;
@@ -250,31 +248,19 @@ func (t Tuple) Project(cols []int) Tuple {
 	return out
 }
 
-// Instance is a finite set of tuples over one schema. It has two
-// storage modes, fixed at construction time by the SetInterning toggle:
-//
-//   - Interned (the default): values are interned into dense int32 ids
-//     through the process-wide dictionary and rows are stored as column
-//     slices (struct-of-arrays); duplicate detection keys on the
-//     fixed-width id encoding and secondary indexes are sorted-rank
-//     posting lists (column.go). This is the fast path the integer
-//     join engine in internal/cq consumes.
-//   - Legacy: the original string-keyed tuple map with per-column hash
-//     indexes, kept alive behind SetInterning(false) as the
-//     correctness oracle for the columnar engine.
-//
-// Both modes present the identical public surface and identical
-// deterministic orders.
+// Instance is a finite set of tuples over one schema, stored as
+// columns of ids of the process-wide dictionary (Shared): one dense
+// int32 column per attribute (struct-of-arrays), duplicate detection
+// keyed on the fixed-width id encoding, and secondary indexes built as
+// sorted-rank posting lists (column.go) — the layout the join engine in
+// internal/cq consumes. Row numbers carry no order; every tuple order
+// the instance exposes is the deterministic Tuple.Less order.
 type Instance struct {
 	Schema *Schema
 
-	// Legacy string-map storage (dict == nil): Tuple.Key → tuple.
-	tuples map[string]Tuple
-
-	// Interned columnar storage (dict != nil): cols holds one dense id
-	// column per attribute, rows maps a tuple's fixed-width id-key to
-	// its row number, n counts rows.
-	dict *Dict
+	// cols holds one dense id column per attribute, rows maps a
+	// tuple's fixed-width id-key to its row number (nil while the
+	// instance is small enough for linear dedup), n counts rows.
 	cols [][]int32
 	rows map[string]int32
 	n    int
@@ -286,55 +272,27 @@ type Instance struct {
 	// and external caches key on it for invalidation.
 	gen uint64
 
-	// indexes publishes the lazily-built secondary hash indexes for the
-	// generation recorded in indexSet.gen (legacy mode). Index sets are
-	// built on demand, atomically swapped in, and never mutated after a
-	// column slot is published, so concurrent readers of a quiescent
-	// instance need no locks. Mutating an instance while others read it
-	// remains forbidden, exactly as for the sorted cache.
-	indexes atomic.Pointer[indexSet]
-
-	// postings is the interned-mode counterpart of indexes: the
-	// CAS-published posting-list index of column.go.
+	// postings publishes the posting-list index of column.go for the
+	// generation it records. It is built on demand, atomically swapped
+	// in, and never mutated after a column slot is published, so
+	// concurrent readers of a quiescent instance need no locks.
+	// Mutating an instance while others read it remains forbidden,
+	// exactly as for the sorted cache.
 	postings atomic.Pointer[postingSet]
 	// retired is the posting set Reset unpublished; the next
 	// buildPostingBase claims it (Swap) and rebuilds into its buffers.
 	retired atomic.Pointer[postingSet]
 }
 
-// indexSet holds one generation's per-column indexes. cols has one slot
-// per attribute; slots fill in lazily as columns are first probed.
-type indexSet struct {
-	gen  uint64
-	cols []atomic.Pointer[colIndex]
-}
-
-// colIndex maps a column value to the tuples carrying it. Buckets are
-// sorted by Tuple.Less, so enumerating a bucket visits tuples in the
-// same relative order as the full Instance.Tuples scan.
-type colIndex struct {
-	buckets map[Value][]Tuple
-}
-
-// NewInstance returns an empty instance of the schema. Its storage
-// mode (interned columnar vs. legacy string map) is fixed here by the
-// current SetInterning toggle and never changes afterwards.
+// NewInstance returns an empty instance of the schema. rows stays nil
+// until the instance outgrows linear dedup: the decision procedures
+// build one tiny Δ-instance per valuation, and for those the map (and
+// its string keys) never needs to exist.
 func NewInstance(s *Schema) *Instance {
-	if InterningEnabled() {
-		// rows stays nil until the instance outgrows linear dedup:
-		// the decision procedures build one tiny Δ-instance per
-		// valuation, and for those the map (and its string keys)
-		// never needs to exist.
-		return &Instance{
-			Schema: s,
-			dict:   shared,
-			cols:   make([][]int32, s.Arity()),
-		}
-	}
-	return &Instance{Schema: s, tuples: make(map[string]Tuple)}
+	return &Instance{Schema: s, cols: make([][]int32, s.Arity())}
 }
 
-// linearRowsMax is the row count up to which an interned instance
+// linearRowsMax is the row count up to which an instance
 // resolves duplicates by scanning its columns instead of keeping the
 // id-key row map. It matches smallIndexRows, so a recycled Δ-fragment
 // small enough to be probed by scanning also dedups without the map
@@ -374,15 +332,10 @@ func (in *Instance) buildRows() {
 	}
 }
 
-// Interned reports whether the instance uses interned columnar storage.
-func (in *Instance) Interned() bool { return in.dict != nil }
-
-// InternDict returns the dictionary backing an interned instance, or
-// nil for legacy storage.
-func (in *Instance) InternDict() *Dict { return in.dict }
-
 // Add inserts a tuple, validating arity and finite-domain membership.
-// Adding a duplicate is a no-op.
+// Adding a duplicate is a no-op. The id and key scratch buffers live on
+// the stack for ordinary arities, so a duplicate insert allocates
+// nothing.
 func (in *Instance) Add(t Tuple) error {
 	if len(t) != in.Schema.Arity() {
 		return fmt.Errorf("relation: %s expects arity %d, got tuple %v", in.Schema.Name, in.Schema.Arity(), t)
@@ -393,35 +346,33 @@ func (in *Instance) Add(t Tuple) error {
 				in.Schema.Name, in.Schema.Attrs[i].Name, v, in.Schema.Attrs[i].Domain)
 		}
 	}
-	if in.dict != nil {
-		in.addInterned(t)
-		return nil
+	var ib [inlineArity]int32
+	ids := ib[:0]
+	if len(t) > inlineArity {
+		ids = make([]int32, 0, len(t))
 	}
-	k := t.Key()
-	if _, dup := in.tuples[k]; !dup {
-		in.tuples[k] = t.Clone()
-		in.sorted = nil
-		in.gen++
+	for _, v := range t {
+		ids = append(ids, shared.Intern(v))
 	}
+	in.addRow(ids)
 	return nil
 }
 
 // AddIDs is Add for a tuple given as ids of the shared dictionary
-// (Shared). It validates exactly what Add validates; an interned
-// instance appends the ids as a row without touching their values,
-// and a legacy instance inserts the tuple the ids denote.
+// (Shared). It validates exactly what Add validates, then appends the
+// ids as a row without touching their values.
 func (in *Instance) AddIDs(ids []int32) error {
-	if in.dict == nil || len(ids) != in.Schema.Arity() {
+	if len(ids) != in.Schema.Arity() {
 		t := make(Tuple, len(ids))
 		for i, id := range ids {
 			t[i] = shared.Value(id)
 		}
-		return in.Add(t)
+		return in.Add(t) // reports the violation
 	}
 	for i, a := range in.Schema.Attrs {
-		if a.Domain.Kind == Finite && !a.Domain.Contains(in.dict.Value(ids[i])) {
+		if a.Domain.Kind == Finite && !a.Domain.Contains(shared.Value(ids[i])) {
 			return fmt.Errorf("relation: %s.%s: value %q outside finite domain %s",
-				in.Schema.Name, a.Name, in.dict.Value(ids[i]), a.Domain)
+				in.Schema.Name, a.Name, shared.Value(ids[i]), a.Domain)
 		}
 	}
 	in.addRow(ids)
@@ -430,24 +381,16 @@ func (in *Instance) AddIDs(ids []int32) error {
 
 // AddStrings is Add for a tuple given as strings, typically substrings
 // of a larger source text: it validates arity and finite-domain
-// membership exactly as Add does, then an interned instance resolves
-// every value under one dictionary lock acquisition (see
-// Dict.InternStrings, which clones first-seen values) and appends the
-// id row, while a legacy instance inserts the Tuple as Add would.
+// membership exactly as Add does, then resolves every value under one
+// dictionary lock acquisition (see Dict.InternStrings, which clones
+// first-seen values) and appends the id row.
 func (in *Instance) AddStrings(vals []string) error {
-	tuple := func() Tuple {
-		t := make(Tuple, len(vals))
-		for i, v := range vals {
-			t[i] = Value(v)
-		}
-		return t
-	}
-	if in.dict == nil || len(vals) != in.Schema.Arity() {
-		return in.Add(tuple())
+	if len(vals) != in.Schema.Arity() {
+		return in.Add(T(vals...)) // reports the violation
 	}
 	for i, a := range in.Schema.Attrs {
 		if a.Domain.Kind == Finite && !a.Domain.Contains(Value(vals[i])) {
-			return in.Add(tuple()) // reports the violation
+			return in.Add(T(vals...)) // reports the violation
 		}
 	}
 	var ib [inlineArity]int32
@@ -456,24 +399,9 @@ func (in *Instance) AddStrings(vals []string) error {
 		ids = make([]int32, len(vals))
 	}
 	ids = ids[:len(vals)]
-	in.dict.InternStrings(vals, ids)
+	shared.InternStrings(vals, ids)
 	in.addRow(ids)
 	return nil
-}
-
-// addInterned interns the tuple's values and appends a row unless the
-// id-key already exists. The id and key scratch buffers live on the
-// stack for ordinary arities, so a duplicate insert allocates nothing.
-func (in *Instance) addInterned(t Tuple) {
-	var ib [inlineArity]int32
-	ids := ib[:0]
-	if len(t) > inlineArity {
-		ids = make([]int32, 0, len(t))
-	}
-	for _, v := range t {
-		ids = append(ids, in.dict.Intern(v))
-	}
-	in.addRow(ids)
 }
 
 // addRow appends the id row unless it is already present.
@@ -509,57 +437,26 @@ func (in *Instance) MustAdd(t Tuple) {
 	}
 }
 
-// Remove deletes a tuple if present.
+// Remove deletes a tuple if present, by swapping the last row into its
+// place (row numbers carry no ordering — deterministic order lives in
+// the posting index's rank permutation, rebuilt per generation).
 func (in *Instance) Remove(t Tuple) {
-	if in.dict != nil {
-		in.removeInterned(t)
-		return
-	}
-	k := t.Key()
-	if _, ok := in.tuples[k]; ok {
-		delete(in.tuples, k)
-		in.sorted = nil
-		in.gen++
-	}
-}
-
-// removeInterned deletes a row by swapping the last row into its place
-// (row numbers carry no ordering — deterministic order lives in the
-// posting index's rank permutation, rebuilt per generation).
-func (in *Instance) removeInterned(t Tuple) {
-	if len(t) != len(in.cols) {
-		return
-	}
 	var ib [inlineArity]int32
-	ids := ib[:0]
-	if len(t) > inlineArity {
-		ids = make([]int32, 0, len(t))
+	ids, ok := lookupIDs(t, len(in.cols), ib[:0])
+	if !ok {
+		return
 	}
-	for _, v := range t {
-		id, ok := in.dict.ID(v)
-		if !ok {
-			return
-		}
-		ids = append(ids, id)
+	row := in.find(ids)
+	if row < 0 {
+		return
 	}
-	var row int32
 	var kb [4 * inlineArity]byte
-	if in.rows == nil {
-		if row = in.rowOf(ids); row < 0 {
-			return
-		}
-	} else {
-		key := AppendIDKey(kb[:0], ids)
-		r, ok := in.rows[string(key)]
-		if !ok {
-			return
-		}
-		row = r
-		delete(in.rows, string(key))
+	if in.rows != nil {
+		delete(in.rows, string(AppendIDKey(kb[:0], ids)))
 	}
 	last := int32(in.n - 1)
 	if row != last {
-		mk := kb[:0] // scratch no longer needed: rebuild as the moved row's key
+		mk := kb[:0] // rebuilt as the moved row's key
 		for c := range in.cols {
 			in.cols[c][row] = in.cols[c][last]
 			mk = appendID(mk, in.cols[c][row])
@@ -576,25 +473,49 @@ func (in *Instance) removeInterned(t Tuple) {
 	in.gen++
 }
 
-// Reset empties the instance in place, keeping its storage mode and —
-// in interned mode — its column capacity, so a pooled scratch instance
-// refills without reallocating. It counts as a mutation: any
-// previously obtained view or cache is invalidated, and the usual
-// no-readers-during-mutation rule applies.
+// lookupIDs resolves t's values to dictionary ids, appending them to
+// buf, without interning: ok is false when t's arity is not arity or
+// some value was never interned, so no instance can hold t.
+func lookupIDs(t Tuple, arity int, buf []int32) ([]int32, bool) {
+	if len(t) != arity {
+		return nil, false
+	}
+	for _, v := range t {
+		id, ok := shared.ID(v)
+		if !ok {
+			return nil, false
+		}
+		buf = append(buf, id)
+	}
+	return buf, true
+}
+
+// find returns the row holding exactly ids, or -1.
+func (in *Instance) find(ids []int32) int32 {
+	if in.rows == nil {
+		return in.rowOf(ids)
+	}
+	var kb [4 * inlineArity]byte
+	if r, ok := in.rows[string(AppendIDKey(kb[:0], ids))]; ok {
+		return r
+	}
+	return -1
+}
+
+// Reset empties the instance in place, keeping its column capacity, so
+// a pooled scratch instance refills without reallocating. It counts as
+// a mutation: any previously obtained view or cache is invalidated, and
+// the usual no-readers-during-mutation rule applies.
 func (in *Instance) Reset() {
-	if in.dict != nil {
-		for c := range in.cols {
-			in.cols[c] = in.cols[c][:0]
-		}
-		in.rows = nil
-		in.n = 0
-		// Nothing may read the old generation's view any more, so its
-		// buffers serve the next posting build.
-		if ps := in.postings.Swap(nil); ps != nil {
-			in.retired.Store(ps)
-		}
-	} else {
-		clear(in.tuples)
+	for c := range in.cols {
+		in.cols[c] = in.cols[c][:0]
+	}
+	in.rows = nil
+	in.n = 0
+	// Nothing may read the old generation's view any more, so its
+	// buffers serve the next posting build.
+	if ps := in.postings.Swap(nil); ps != nil {
+		in.retired.Store(ps)
 	}
 	in.sorted = nil
 	in.gen++
@@ -613,70 +534,33 @@ func (d *Database) Reset() {
 // in between is still valid.
 func (in *Instance) Generation() uint64 { return in.gen }
 
-// Contains reports tuple membership. It is read-only in both storage
-// modes (scratch buffers are stack-local), so concurrent readers of a
-// quiescent instance may call it freely.
+// Contains reports tuple membership. It is read-only (scratch buffers
+// are stack-local), so concurrent readers of a quiescent instance may
+// call it freely.
 func (in *Instance) Contains(t Tuple) bool {
-	if in.dict != nil {
-		if len(t) != len(in.cols) {
-			return false
-		}
-		var ib [inlineArity]int32
-		ids := ib[:0]
-		if len(t) > inlineArity {
-			ids = make([]int32, 0, len(t))
-		}
-		for _, v := range t {
-			id, ok := in.dict.ID(v)
-			if !ok {
-				return false
-			}
-			ids = append(ids, id)
-		}
-		if in.rows == nil {
-			return in.rowOf(ids) >= 0
-		}
-		var kb [4 * inlineArity]byte
-		key := AppendIDKey(kb[:0], ids)
-		_, ok := in.rows[string(key)]
-		return ok
-	}
-	_, ok := in.tuples[t.Key()]
-	return ok
+	var ib [inlineArity]int32
+	ids, ok := lookupIDs(t, len(in.cols), ib[:0])
+	return ok && in.find(ids) >= 0
 }
 
 // Len returns the number of tuples.
-func (in *Instance) Len() int {
-	if in.dict != nil {
-		return in.n
-	}
-	return len(in.tuples)
-}
+func (in *Instance) Len() int { return in.n }
 
 // Tuples returns all tuples in deterministic (lexicographic) order.
 // The returned slice is a shared cache: callers must not modify it.
 func (in *Instance) Tuples() []Tuple {
 	if in.sorted == nil {
-		if in.dict != nil {
-			ps := in.ensurePostings()
-			vals := in.dict.Snapshot()
-			arity := len(in.cols)
-			out := make([]Tuple, in.n)
-			for k, r := range ps.rank {
-				t := make(Tuple, arity)
-				for c := 0; c < arity; c++ {
-					t[c] = vals[in.cols[c][r]]
-				}
-				out[k] = t
+		ps := in.ensurePostings()
+		vals := shared.Snapshot()
+		arity := len(in.cols)
+		out := make([]Tuple, in.n)
+		for k, r := range ps.rank {
+			t := make(Tuple, arity)
+			for c := 0; c < arity; c++ {
+				t[c] = vals[in.cols[c][r]]
 			}
-			in.sorted = out
-			return in.sorted
+			out[k] = t
 		}
-		out := make([]Tuple, 0, len(in.tuples))
-		for _, t := range in.tuples {
-			out = append(out, t)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 		in.sorted = out
 	}
 	return in.sorted
@@ -687,169 +571,51 @@ func (in *Instance) Tuples() []Tuple {
 // across goroutines.
 func (in *Instance) Warm() { in.Tuples() }
 
-// Lookup returns the tuples whose column col holds v, in the same
-// relative order as Tuples(). The secondary index for col is built on
-// first use and invalidated by Add/Remove via the generation counter.
-// The returned slice is shared: callers must not modify it.
-func (in *Instance) Lookup(col int, v Value) []Tuple {
-	if in.dict != nil {
-		return in.lookupInterned(col, v)
-	}
-	ci := in.index(col)
-	if ci == nil {
-		return nil
-	}
-	return ci.buckets[v]
-}
+// Distinct returns the number of distinct values in column col. It is
+// the selectivity statistic used by the cost-based join planner: an
+// equality probe on col is expected to match about Len/Distinct tuples.
+func (in *Instance) Distinct(col int) int { return in.IDs().Distinct(col) }
 
-// Distinct returns the number of distinct values in column col, building
-// the column index if needed. It is the selectivity statistic used by
-// the cost-based join planner: an equality probe on col is expected to
-// match about Len/Distinct tuples.
-func (in *Instance) Distinct(col int) int {
-	if in.dict != nil {
-		if col < 0 || col >= len(in.cols) {
-			return 0
-		}
-		return in.IDs().Distinct(col)
-	}
-	ci := in.index(col)
-	if ci == nil {
-		return 0
-	}
-	return len(ci.buckets)
-}
-
-// index returns the column index for col, building and publishing it on
-// first use. Publication uses compare-and-swap on shared atomic slots:
-// concurrent first probes may build the same index twice, but every
-// build of one generation is identical, so losing the race is benign.
-func (in *Instance) index(col int) *colIndex {
-	arity := in.Schema.Arity()
-	if col < 0 || col >= arity {
-		return nil
-	}
-	set := in.indexes.Load()
-	if set == nil || set.gen != in.gen {
-		fresh := &indexSet{gen: in.gen, cols: make([]atomic.Pointer[colIndex], arity)}
-		if in.indexes.CompareAndSwap(set, fresh) {
-			set = fresh
-		} else if set = in.indexes.Load(); set == nil || set.gen != in.gen {
-			// Lost the swap to a concurrent mutation's stale set; use
-			// the private fresh set for this call only.
-			set = fresh
-		}
-	}
-	if ci := set.cols[col].Load(); ci != nil {
-		return ci
-	}
-	ci := in.buildColIndex(col)
-	set.cols[col].CompareAndSwap(nil, ci)
-	if pub := set.cols[col].Load(); pub != nil {
-		return pub
-	}
-	return ci
-}
-
-// buildColIndex materializes the value → tuples map for one column. It
-// iterates the tuple map directly (not Tuples()) so concurrent index
-// builds never race the sorted-cache write.
-func (in *Instance) buildColIndex(col int) *colIndex {
-	obs.IndexBuilds.Inc()
-	buckets := make(map[Value][]Tuple)
-	for _, t := range in.tuples {
-		buckets[t[col]] = append(buckets[t[col]], t)
-	}
-	for _, b := range buckets {
-		sort.Slice(b, func(i, j int) bool { return b[i].Less(b[j]) })
-	}
-	return &colIndex{buckets: buckets}
-}
-
-// Clone returns a deep copy sharing the schema (and, in interned mode,
-// the dictionary). The copy keeps the source's storage mode regardless
-// of the current SetInterning toggle.
+// Clone returns a deep copy sharing the schema.
 func (in *Instance) Clone() *Instance {
-	if in.dict != nil {
-		cp := &Instance{
-			Schema: in.Schema,
-			dict:   in.dict,
-			cols:   make([][]int32, len(in.cols)),
-			n:      in.n,
-		}
-		for c := range in.cols {
-			cp.cols[c] = append([]int32(nil), in.cols[c]...)
-		}
-		if in.rows != nil {
-			cp.rows = make(map[string]int32, len(in.rows))
-			for k, r := range in.rows {
-				cp.rows[k] = r
-			}
-		}
-		return cp
+	cp := &Instance{Schema: in.Schema, cols: make([][]int32, len(in.cols)), n: in.n}
+	for c := range in.cols {
+		cp.cols[c] = append([]int32(nil), in.cols[c]...)
 	}
-	cp := &Instance{Schema: in.Schema, tuples: make(map[string]Tuple, len(in.tuples))}
-	for k, t := range in.tuples {
-		cp.tuples[k] = t
+	if in.rows != nil {
+		cp.rows = make(map[string]int32, len(in.rows))
+		for k, r := range in.rows {
+			cp.rows[k] = r
+		}
 	}
 	return cp
 }
 
-// forEach visits every tuple in unspecified order without touching any
-// shared cache, so it is safe on instances read concurrently.
-func (in *Instance) forEach(fn func(Tuple) bool) {
-	if in.dict != nil {
-		vals := in.dict.Snapshot()
-		arity := len(in.cols)
-		for r := 0; r < in.n; r++ {
-			t := make(Tuple, arity)
-			for c := 0; c < arity; c++ {
-				t[c] = vals[in.cols[c][r]]
-			}
-			if !fn(t) {
-				return
-			}
-		}
-		return
-	}
-	for _, t := range in.tuples {
-		if !fn(t) {
-			return
-		}
-	}
-}
-
-// SubsetOf reports whether every tuple of in occurs in o. Two interned
-// instances compare by id-keys directly (they share the process-wide
-// dictionary); mixed modes fall back to tuple membership.
+// SubsetOf reports whether every tuple of in occurs in o, comparing id
+// rows (every instance shares the process-wide dictionary).
 func (in *Instance) SubsetOf(o *Instance) bool {
-	if in.Len() > o.Len() {
-		return false
+	if in.n > o.n || len(in.cols) != len(o.cols) {
+		return in.n == 0
 	}
-	switch {
-	case in.dict != nil && in.dict == o.dict && in.rows != nil && o.rows != nil:
+	if in.rows != nil && o.rows != nil {
 		for k := range in.rows {
 			if _, ok := o.rows[k]; !ok {
 				return false
 			}
 		}
 		return true
-	case in.dict == nil && o.dict == nil:
-		for k := range in.tuples {
-			if _, ok := o.tuples[k]; !ok {
-				return false
-			}
-		}
-		return true
 	}
-	ok := true
-	in.forEach(func(t Tuple) bool {
-		if !o.Contains(t) {
-			ok = false
+	var ib [inlineArity]int32
+	for r := 0; r < in.n; r++ {
+		ids := ib[:0]
+		for c := range in.cols {
+			ids = append(ids, in.cols[c][r])
 		}
-		return ok
-	})
-	return ok
+		if o.find(ids) < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Equal reports set equality of the two instances.
@@ -857,44 +623,29 @@ func (in *Instance) Equal(o *Instance) bool {
 	return in.Len() == o.Len() && in.SubsetOf(o)
 }
 
-// Project returns the distinct projections of all tuples onto cols.
-// On interned storage duplicate detection reuses the interned ids (one
-// fixed-width key probe per row against a reused scratch buffer)
-// instead of materializing a projected tuple and rebuilding its string
-// key per row — the former dedup hot spot of the master-side
-// projections.
+// Project returns the distinct projections of all tuples onto cols, in
+// Tuple.Less order. Duplicate detection reuses the ids (one fixed-width
+// key probe per row against a reused scratch buffer) instead of
+// materializing a projected tuple and its string key per row.
 func (in *Instance) Project(cols []int) []Tuple {
-	if in.dict != nil {
-		seen := make(map[string]bool, in.n)
-		vals := in.dict.Snapshot()
-		out := make([]Tuple, 0, 8)
-		kb := make([]byte, 0, 4*len(cols))
-		for r := 0; r < in.n; r++ {
-			kb = kb[:0]
-			for _, c := range cols {
-				kb = appendID(kb, in.cols[c][r])
-			}
-			if seen[string(kb)] {
-				continue
-			}
-			seen[string(kb)] = true
-			p := make(Tuple, len(cols))
-			for i, c := range cols {
-				p[i] = vals[in.cols[c][r]]
-			}
-			out = append(out, p)
+	seen := make(map[string]bool, in.n)
+	vals := shared.Snapshot()
+	out := make([]Tuple, 0, 8)
+	kb := make([]byte, 0, 4*len(cols))
+	for r := 0; r < in.n; r++ {
+		kb = kb[:0]
+		for _, c := range cols {
+			kb = appendID(kb, in.cols[c][r])
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-		return out
-	}
-	seen := make(map[string]Tuple, len(in.tuples))
-	for _, t := range in.tuples {
-		p := t.Project(cols)
-		seen[p.Key()] = p
-	}
-	out := make([]Tuple, 0, len(seen))
-	for _, t := range seen {
-		out = append(out, t)
+		if seen[string(kb)] {
+			continue
+		}
+		seen[string(kb)] = true
+		p := make(Tuple, len(cols))
+		for i, c := range cols {
+			p[i] = vals[in.cols[c][r]]
+		}
+		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
@@ -1067,29 +818,15 @@ func (d *Database) IsEmpty() bool { return d.TupleCount() == 0 }
 
 // ActiveDomain returns the sorted set of all values occurring in d.
 func (d *Database) ActiveDomain() []Value {
-	if set, ok := d.InternedIDs(nil); ok {
-		return shared.SortedIDValues(set)
-	}
-	seen := make(map[Value]bool)
-	for _, in := range d.insts {
-		in.valuesInto(seen)
-	}
-	return SortedValues(seen)
+	return shared.SortedIDValues(d.InternedIDs(nil))
 }
 
 // InternedIDs merges the set of dictionary ids occurring anywhere in d
-// into set (pass nil to start fresh) and returns it. ok is false — and
-// set is returned unchanged — when some instance uses legacy storage or
-// a non-shared dictionary, in which case callers must take the string
-// path. A nil database contributes nothing and is ok.
-func (d *Database) InternedIDs(set []uint64) ([]uint64, bool) {
+// into set (pass nil to start fresh) and returns it. A nil database
+// contributes nothing.
+func (d *Database) InternedIDs(set []uint64) []uint64 {
 	if d == nil {
-		return set, true
-	}
-	for _, in := range d.insts {
-		if in.dict != shared {
-			return set, false
-		}
+		return set
 	}
 	for _, in := range d.insts {
 		for _, col := range in.cols {
@@ -1098,36 +835,18 @@ func (d *Database) InternedIDs(set []uint64) ([]uint64, bool) {
 			}
 		}
 	}
-	return set, true
+	return set
 }
 
-// InternedCol returns column col of an interned instance as raw ids in
-// insertion order, or nil for legacy storage. The slice aliases the
-// instance's storage: callers must not modify it and must not hold it
-// across mutations.
+// InternedCol returns column col of the instance as raw ids in
+// insertion order, or nil when col is out of range. The slice aliases
+// the instance's storage: callers must not modify it and must not hold
+// it across mutations.
 func (in *Instance) InternedCol(col int) []int32 {
-	if in.dict == nil || col < 0 || col >= len(in.cols) {
+	if col < 0 || col >= len(in.cols) {
 		return nil
 	}
 	return in.cols[col][:in.n]
-}
-
-// valuesInto adds every value occurring in the instance to seen.
-func (in *Instance) valuesInto(seen map[Value]bool) {
-	if in.dict != nil {
-		vals := in.dict.Snapshot()
-		for _, col := range in.cols {
-			for _, id := range col {
-				seen[vals[id]] = true
-			}
-		}
-		return
-	}
-	for _, t := range in.tuples {
-		for _, v := range t {
-			seen[v] = true
-		}
-	}
 }
 
 func (d *Database) String() string {

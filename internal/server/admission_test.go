@@ -275,3 +275,56 @@ func mustJSON(t *testing.T, v any) []byte {
 	}
 	return b
 }
+
+// TestHandlerPanicRecovered serves through obs.NewServer, whose
+// recovery turns a handler panic into a 500 and a counter increment.
+// Two panicking checks run back to back on a server with one worker
+// slot and room for two admitted requests: if either panic leaked its
+// admission or worker slot, the check that follows would be refused
+// with a 429 or hang waiting for the worker.
+func TestHandlerPanicRecovered(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	var panics atomic.Int64
+	s.beforeCheck = func() {
+		if panics.Add(1) <= 2 {
+			panic("injected handler fault")
+		}
+	}
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = obs.NewServer(s.Handler(), time.Second, time.Second)
+	ts.Start()
+	t.Cleanup(ts.Close)
+	client := &http.Client{Timeout: 5 * time.Second}
+	post := func() *http.Response {
+		t.Helper()
+		buf, err := json.Marshal(inlineRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(ts.URL+"/v1/rcdp", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	for i := 0; i < 2; i++ {
+		before := obs.ServePanics.Value()
+		resp := post()
+		var body ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusInternalServerError || body.Error == "" {
+			t.Fatalf("panic %d: status %d, body %+v (%v); want a 500 JSON error", i, resp.StatusCode, body, err)
+		}
+		if got := obs.ServePanics.Value() - before; got != 1 {
+			t.Fatalf("panic %d: counter rose by %d, want 1", i, got)
+		}
+	}
+	if got := s.inflight.Load(); got != 0 {
+		t.Fatalf("%d admission slots still held after the panics", got)
+	}
+	var out CheckResponse
+	resp := post()
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK || out.Verdict != "complete" {
+		t.Fatalf("check after the panics: status %d, verdict %q (%v); want 200 complete", resp.StatusCode, out.Verdict, err)
+	}
+}

@@ -128,8 +128,8 @@ func referenceParseDatabase(src string, schemas map[string]*relation.Schema) (*r
 	return d, nil
 }
 
-// FuzzParseDatabase checks the fact parser two ways, under both storage
-// modes: against the reference parser (both fail, or both succeed with
+// FuzzParseDatabase checks the fact parser two ways: against the
+// reference parser (both fail, or both succeed with
 // Equal databases), and across a format/reparse round trip.
 func FuzzParseDatabase(f *testing.F) {
 	f.Add("Supt(e0, sales, c1).\nF(1).\n")
@@ -145,32 +145,27 @@ func FuzzParseDatabase(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := relation.InterningEnabled()
-		defer relation.SetInterning(prev)
-		for _, interned := range []bool{true, false} {
-			relation.SetInterning(interned)
-			d, err := ParseDatabase(src, ss)
-			ref, refErr := referenceParseDatabase(src, ss)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("interned=%v: parser error %v, reference error %v\n%q", interned, err, refErr, src)
-			}
-			if err != nil {
-				continue
-			}
-			if !d.Equal(ref) {
-				t.Fatalf("interned=%v: parser and reference disagree:\n%v\nvs\n%v", interned, d, ref)
-			}
-			if !representable(d) {
-				continue
-			}
-			out := FormatDatabase(d)
-			d2, err := ParseDatabase(out, ss)
-			if err != nil {
-				t.Fatalf("interned=%v: formatted database does not reparse: %v\n%s", interned, err, out)
-			}
-			if !d.Equal(d2) {
-				t.Fatalf("interned=%v: database changed across round trip:\n%v\nvs\n%v", interned, d, d2)
-			}
+		d, err := ParseDatabase(src, ss)
+		ref, refErr := referenceParseDatabase(src, ss)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("parser error %v, reference error %v\n%q", err, refErr, src)
+		}
+		if err != nil {
+			return
+		}
+		if !d.Equal(ref) {
+			t.Fatalf("parser and reference disagree:\n%v\nvs\n%v", d, ref)
+		}
+		if !representable(d) {
+			return
+		}
+		out := FormatDatabase(d)
+		d2, err := ParseDatabase(out, ss)
+		if err != nil {
+			t.Fatalf("formatted database does not reparse: %v\n%s", err, out)
+		}
+		if !d.Equal(d2) {
+			t.Fatalf("database changed across round trip:\n%v\nvs\n%v", d, d2)
 		}
 	})
 }
