@@ -34,10 +34,11 @@ type deltaCheck struct {
 	skip bool
 	// union marks a non-monotone constraint, re-evaluated over D ∪ Δ.
 	union bool
-	pc    *projCache
-	// joins[i] is the prepared join of the constraint query's i-th
+	// rhsIDs is p(Dm) as id-keys (Constraint.MasterIDKeys), and
+	// joins[i] the prepared join of the constraint query's i-th
 	// tableau.
-	joins []*cq.DeltaJoin
+	rhsIDs map[string]bool
+	joins  []*cq.DeltaJoin
 }
 
 // PrepareDelta prepares the differential constraint check of the set
@@ -62,7 +63,7 @@ func (s *Set) PrepareDelta(d, dm *relation.Database) *DeltaChecker {
 			ch.union = true
 			continue
 		}
-		ch.pc = c.masterCache(dm)
+		ch.rhsIDs = c.MasterIDKeys(dm)
 		tableaux := c.Q.Tableaux()
 		ch.joins = make([]*cq.DeltaJoin, len(tableaux))
 		for ti, t := range tableaux {
@@ -125,7 +126,7 @@ func (ch *deltaCheck) satisfied(dc *DeltaChecker, delta *relation.Database, g *q
 	}
 	// Heads arrive as ids and membership is one fixed-width key probe —
 	// no Binding, HeadTuple or string Key per differential match.
-	dc.rhsIDs = ch.pc.rhsIDs
+	dc.rhsIDs = ch.rhsIDs
 	for _, dj := range ch.joins {
 		dc.violated = false
 		if err := dj.Run(delta, g, dc.onHead); err != nil {

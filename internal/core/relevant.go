@@ -120,16 +120,6 @@ func computeRelevantValues(q interface{ Constants() []relation.Value }, v *cc.Se
 	// string keys), sorted later by one scan of the dictionary's sort
 	// permutation.
 	groupSets := make(map[pos][]uint64)
-	merge := func(root pos, src []uint64) {
-		set := groupSets[root]
-		for w, word := range src {
-			for len(set) <= w {
-				set = append(set, 0)
-			}
-			set[w] |= word
-		}
-		groupSets[root] = set
-	}
 	if d != nil {
 		for _, rel := range d.Relations() {
 			in := d.Instance(rel)
@@ -148,7 +138,15 @@ func computeRelevantValues(q interface{ Constants() []relation.Value }, v *cc.Se
 		}
 	}
 	for _, f := range feeds {
-		merge(find(f.anchor), f.set)
+		root := find(f.anchor)
+		set := groupSets[root]
+		for w, word := range f.set {
+			for len(set) <= w {
+				set = append(set, 0)
+			}
+			set[w] |= word
+		}
+		groupSets[root] = set
 	}
 
 	rv := &relevantValues{perPosition: make(map[string]map[int][]relation.Value)}

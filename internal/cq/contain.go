@@ -47,9 +47,11 @@ func Contained(q1, q2 *CQ, schemas map[string]*relation.Schema) (bool, error) {
 		return false, fmt.Errorf("cq: containment between arities %d and %d", q1.Arity(), q2.Arity())
 	}
 	t1, err := q1.Compiled()
-	if unsat := (*ErrUnsatisfiable)(nil); errors.As(err, &unsat) {
+	var unsat *ErrUnsatisfiable
+	if errors.As(err, &unsat) {
 		return true, nil // unsatisfiable q1 is contained in everything
-	} else if err != nil {
+	}
+	if err != nil {
 		return false, err
 	}
 	avoid := make(map[relation.Value]bool)

@@ -30,7 +30,7 @@ func answers(qs []*cq.CQ, d *relation.Database) []relation.Tuple {
 	seen := make(map[string]relation.Tuple)
 	for _, q := range qs {
 		for _, b := range Bindings(q, d) {
-			if h, ok := head(q, b); ok {
+			if h, ok := Head(q, b); ok {
 				seen[h.Key()] = h
 			}
 		}
@@ -69,9 +69,7 @@ func DeltaBindings(q *cq.CQ, d, delta *relation.Database) []query.Binding {
 }
 
 // Head returns the answer tuple of q under a binding from Bindings.
-func Head(q *cq.CQ, b query.Binding) (relation.Tuple, bool) { return head(q, b) }
-
-func head(q *cq.CQ, b query.Binding) (relation.Tuple, bool) {
+func Head(q *cq.CQ, b query.Binding) (relation.Tuple, bool) {
 	out := make(relation.Tuple, len(q.Head))
 	for i, h := range q.Head {
 		v, ok := b.Resolve(h)

@@ -51,7 +51,7 @@ func (t *Tableau) Eval(d *relation.Database) []relation.Tuple {
 
 // EvalGate is Eval under gate governance (see CQ.EvalGate). It needs
 // one witness per answer, not every match, and cuts the join to match:
-// once the plan has bound every head variable (headCutDepth), a head
+// once the plan has bound every head variable (cutDepth), a head
 // row that is already an answer skips its subtree, and a new one is
 // enumerated only to its first complete match, recorded, and the join
 // resumes at the cut level. Answers, their order and the gate's error
@@ -65,7 +65,7 @@ func (t *Tableau) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tupl
 	w := len(t.Head)
 	a := &ianswers{seen: make(map[string]bool), hbuf: make([]int32, w)}
 	order := t.planOrder(d)
-	st.ans, st.cut = a, t.headCutDepth(order)
+	st.ans, st.cut = a, t.cutDepth(order)
 	st.leaf = st.answerLeaf
 	st.run(order, 0)
 	es.flush()
@@ -85,12 +85,12 @@ func (t *Tableau) EvalGate(d *relation.Database, g *query.Gate) ([]relation.Tupl
 	return out, nil
 }
 
-// headCutDepth returns the plan position of EvalGate's head cut for a
+// cutDepth returns the plan position of EvalGate's head cut for a
 // join order: the first k such that templates order[:k] bind every
 // head variable, after which every match of a subtree has the same
 // head row. It is 0 for a Boolean or all-constant head, and -1 (no
 // cut) when only the last template completes the head.
-func (t *Tableau) headCutDepth(order []int) int {
+func (t *Tableau) cutDepth(order []int) int {
 	depth := 0
 	for _, h := range t.Head {
 		if !h.IsVar {
@@ -101,9 +101,6 @@ func (t *Tableau) headCutDepth(order []int) int {
 				return a.IsVar && a.Name == h.Name
 			})
 		})
-		if k < 0 {
-			return -1
-		}
 		depth = max(depth, k+1)
 	}
 	if depth == len(order) {

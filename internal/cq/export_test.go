@@ -13,4 +13,4 @@ var (
 
 // CutDepth is the plan position of EvalGate's head cut over d; -1 when
 // the cut does not apply.
-func CutDepth(t *Tableau, d *relation.Database) int { return t.headCutDepth(t.planOrder(d)) }
+func CutDepth(t *Tableau, d *relation.Database) int { return t.cutDepth(t.planOrder(d)) }

@@ -122,7 +122,7 @@ func TestEvalGateHeadCut(t *testing.T) {
 		if g.Rows() > full.Rows() {
 			t.Fatalf("trial %d (%s): cut charged %d rows, full enumeration %d", trial, q, g.Rows(), full.Rows())
 		}
-		if tb.headCutDepth(tb.planOrder(d)) >= 0 {
+		if tb.cutDepth(tb.planOrder(d)) >= 0 {
 			cuts++
 		}
 		if g.Rows() < full.Rows() {
@@ -170,7 +170,7 @@ func TestEvalGateHeadCutGateStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if depth := tb.headCutDepth(tb.planOrder(d)); depth != 1 {
+	if depth := tb.cutDepth(tb.planOrder(d)); depth != 1 {
 		t.Fatalf("cut depth %d, want 1", depth)
 	}
 	full := query.NewGate(context.Background(), 0, 0)

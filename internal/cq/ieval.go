@@ -13,7 +13,7 @@ import (
 // each step it probes the bound column with the most distinct values,
 // or scans when no argument is bound, charges one gate row per
 // candidate, and checks each inequality as soon as both sides are
-// bound. EvalGate adds the head cut (Tableau.headCutDepth) on top. The
+// bound. EvalGate adds the head cut (Tableau.cutDepth) on top. The
 // naive evaluator in package cqtest is its test oracle.
 
 // iterm is one compiled term: a non-negative value is an index into the
@@ -91,7 +91,7 @@ type ijoin struct {
 	es   *evalStats
 	leaf func() bool
 
-	// EvalGate's head cut (Tableau.headCutDepth): at plan position cut
+	// EvalGate's head cut (Tableau.cutDepth): at plan position cut
 	// (-1 = none) run consults the answer set ans.
 	cut int
 	ans *ianswers

@@ -2,6 +2,7 @@ package cq_test
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -113,14 +114,25 @@ func TestEvalInternedMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestIndexedEvalMatchesScanRandom checks Eval over d ∪ delta, where
-// the join probes posting lists, against the naive evaluator's full
-// scans: the answers must agree tuple for tuple.
+// TestIndexedEvalMatchesScanRandom checks Eval over d ∪ delta against
+// the naive evaluator's full scans: the answers must agree tuple for
+// tuple. Every fifth trial adds R('a', v_i) for 70 values v_i and
+// S(v_i, 'b') for 40 of them, so the join probes real posting
+// containers — rank arrays, and a bitset for the 70 rows of R with
+// 'a' in its first column — rather than scanning a small instance.
 func TestIndexedEvalMatchesScanRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 300; trial++ {
 		q, d, delta := cq.RandomDeltaCase(rng)
 		full := d.Union(delta)
+		if trial%5 == 0 {
+			for i := 0; i < 70; i++ {
+				full.MustAdd("R", "a", fmt.Sprint("v", i))
+				if i < 40 {
+					full.MustAdd("S", fmt.Sprint("v", i), "b")
+				}
+			}
+		}
 		if got, want := q.Eval(full), cqtest.Eval(q, full); !sameTuples(got, want) {
 			t.Fatalf("trial %d: indexed %v, scan %v\nq: %v\ndb:\n%v", trial, got, want, q, full)
 		}

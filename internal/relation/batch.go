@@ -69,12 +69,12 @@ func (b Batch) Relations() []string {
 // sorted-name order; duplicate inserts and absent deletes are no-ops.
 // It returns the number of rows actually added and removed.
 //
-// Insert-only batches against an instance whose posting set
-// is current extend the index incrementally: the new rows merge into
-// the existing rank permutation in O(n + b) instead of the O(n log n)
-// rebuild a cold access would pay (see Instance.insertBatch). Like
-// every mutation, ApplyBatch requires that no concurrent reader
-// observes the database while it runs.
+// Insert-only batches against an instance whose posting set is current
+// extend the index incrementally: the new rows merge into the existing
+// rank permutation in O(n + b) instead of the O(n log n) rebuild a cold
+// access would pay (see Instance.insertBatch). Like every mutation,
+// ApplyBatch requires that no concurrent reader observes the database
+// while it runs.
 func (d *Database) ApplyBatch(b Batch) (ins, del int, err error) {
 	if err := d.validateBatch(b); err != nil {
 		return 0, 0, err
@@ -145,10 +145,10 @@ func sortedKeys(m map[string][]Tuple) []string {
 
 // insertBatch adds pre-validated tuples and returns the number of rows
 // actually inserted. When the instance's published posting set is
-// current, the fresh rows are merged into the existing
-// rank permutation instead of leaving the whole index to a cold
-// rebuild: an insert-only batch never moves existing rows, so the old
-// permutation stays a sorted prefix-set of the new one.
+// current, the fresh rows are merged into the existing rank permutation
+// instead of leaving the whole index to a cold rebuild: an insert-only
+// batch never moves existing rows, so the old permutation stays a
+// sorted prefix-set of the new one.
 func (in *Instance) insertBatch(ts []Tuple) int {
 	var old *postingSet
 	if ps := in.postings.Load(); ps != nil && ps.gen == in.gen {

@@ -44,11 +44,11 @@ func NewDict() *Dict {
 	return &Dict{ids: make(map[Value]int32)}
 }
 
-// shared is the process-wide dictionary used by every instance. A single table (rather than per-database tables) keeps ids
-// comparable across D, Δ-deltas and Dm, which is what lets the join
-// engine and the p(Dm) memo compare keys without translating ids; the
-// server's catalog entries inherit it, so cross-request caches stay
-// id-compatible too.
+// shared is the process-wide dictionary used by every instance. A
+// single table (rather than per-database tables) keeps ids comparable
+// across D, Δ-deltas and Dm, which is what lets the join engine and the
+// p(Dm) memo compare keys without translating ids; the server's catalog
+// entries inherit it, so cross-request caches stay id-compatible too.
 var shared = NewDict()
 
 // Shared returns the process-wide dictionary.

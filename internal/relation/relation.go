@@ -292,11 +292,11 @@ func NewInstance(s *Schema) *Instance {
 	return &Instance{Schema: s, cols: make([][]int32, s.Arity())}
 }
 
-// linearRowsMax is the row count up to which an instance
-// resolves duplicates by scanning its columns instead of keeping the
-// id-key row map. It matches smallIndexRows, so a recycled Δ-fragment
-// small enough to be probed by scanning also dedups without the map
-// and refills without allocating.
+// linearRowsMax is the row count up to which an instance resolves
+// duplicates by scanning its columns instead of keeping the id-key row
+// map. It matches smallIndexRows, so a recycled Δ-fragment small enough
+// to be probed by scanning also dedups without the map and refills
+// without allocating.
 const linearRowsMax = smallIndexRows
 
 // rowOf returns the row holding exactly ids, or -1. Linear scan for
