@@ -244,8 +244,12 @@ func FuzzEvalNaive(f *testing.F) {
 			t.Fatal(err)
 		}
 		want := make(map[string]bool)
-		for _, b := range cqtest.DeltaBindings(q, d, delta) {
-			if h, ok := cqtest.Head(q, b); ok {
+		for _, b := range cqtest.Bindings(q, d.Union(delta)) {
+			usesDelta := slices.ContainsFunc(q.Atoms, func(a query.RelAtom) bool {
+				tup, _ := a.Ground(b)
+				return delta.Contains(a.Rel, tup)
+			})
+			if h, ok := cqtest.Head(q, b); ok && usesDelta {
 				want[h.Key()] = true
 			}
 		}
