@@ -146,7 +146,7 @@ vuln:
 # Native fuzz smoke: each fuzz target runs for a short budget (go test
 # accepts one -fuzz pattern per invocation), catching parser/formatter
 # regressions and join-engine disagreements with the naive evaluator
-# without a long fuzz session.
+# without a long fuzzing run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseSchemas -fuzztime=$(FUZZTIME)
