@@ -34,9 +34,9 @@ server-smoke:
 	sh scripts/server_smoke.sh
 
 # Scale-out smoke: two relserve backends plus a consistent-hash router
-# and a -fanout router on random ports, driven by relload; verdicts
-# through both routers must match the direct-backend run, with zero
-# transport errors and zero drops.
+# on random ports, driven by relload; verdicts through the router must
+# match the direct-backend run, with zero transport errors and zero
+# drops.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
@@ -145,8 +145,9 @@ vuln:
 
 # Native fuzz smoke: each fuzz target runs for a short budget (go test
 # accepts one -fuzz pattern per invocation), catching parser/formatter
-# regressions and join-engine disagreements with the naive evaluator
-# without a long fuzzing run.
+# regressions, join-engine disagreements with the naive evaluator and
+# RCDP verdicts that disagree with the brute-force decider without a
+# long fuzzing run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzParseSchemas -fuzztime=$(FUZZTIME)
@@ -156,6 +157,7 @@ fuzz-smoke:
 	$(GO) test ./internal/textq/ -run='^$$' -fuzz=FuzzMutationBatch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mine/ -run='^$$' -fuzz=FuzzMineEvidence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cq/ -run='^$$' -fuzz=FuzzEvalNaive -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzRCDPOracle -fuzztime=$(FUZZTIME)
 
 # Coverage floors for the decision-procedure packages (set ~2 points
 # under the measured coverage at the time the floor was introduced so

@@ -68,13 +68,6 @@ type Checker struct {
 	// by the Ctx entry points and by the legacy wrappers alike; the
 	// zero value is unlimited.
 	Budget Budget
-	// SliceBudget, when set, makes RCDPSliceCtx charge this shared
-	// cross-slice valuation ledger instead of a fresh per-slice counter,
-	// so a K-way fan-out exhausts the per-disjunct MaxValuations cap at
-	// the same total spend as the single-process engines. Nil keeps the
-	// legacy per-slice caps. Only RCDPSliceCtx consults it; the other
-	// entry points already share one ledger per disjunct.
-	SliceBudget *SharedBudget
 }
 
 // effectiveWorkers resolves the Workers field to a concrete count.
@@ -169,9 +162,9 @@ func (ck *Checker) RCDPCtx(ctx context.Context, q qlang.Query, d, dm *relation.D
 // schemas, the already-answered head set, keyed on the head rows'
 // fixed-width id-keys (relation.AppendIDKey), and the constraint delta
 // checker prepared against (V, D, Dm). Built once per check by
-// prepareRCDP and then read-only, it is shared by the sequential
-// engine, the parallel engine and the partition-slice runner alike;
-// each search worker checks with its own clone of check.
+// prepareRCDP and then read-only, it is shared by the sequential and
+// parallel engines; each search worker checks with its own clone of
+// check.
 type rcdpPrep struct {
 	searches  []*valuationSearch
 	schemas   map[string]*relation.Schema
@@ -181,11 +174,9 @@ type rcdpPrep struct {
 
 // prepareRCDP performs the disjunct-independent setup of an RCDP check:
 // the decidability guards, the partial-closure precondition, the Q(D)
-// answer set and one valuation search per disjunct tableau. The gate
-// charges it makes (constraint check, query evaluation) are exactly the
-// sequential engine's setup charges, which is what makes partition
-// slices report identical Setup stats on every shard. A nil prep with a
-// nil error means the query is unsatisfiable (trivially complete).
+// answer set and one valuation search per disjunct tableau. A nil prep
+// with a nil error means the query is unsatisfiable (trivially
+// complete).
 func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Set, gate *query.Gate) (*rcdpPrep, error) {
 	if !q.Lang().Monotone() {
 		return nil, fmt.Errorf("core: RCDP is undecidable for L_Q = %v (Theorem 3.1); use BoundedRCDP", q.Lang())

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -141,164 +142,6 @@ func TestBatchInlineAndEndpoints(t *testing.T) {
 	}
 }
 
-// postPartial runs one slice of a K-way split.
-func postPartial(t *testing.T, url string, req CheckRequest, slices, slice int) *PartialResponse {
-	t.Helper()
-	return postPartialGroup(t, url, req, slices, slice, "")
-}
-
-// postPartialGroup is postPartial with a budget-group token.
-func postPartialGroup(t *testing.T, url string, req CheckRequest, slices, slice int, group string) *PartialResponse {
-	t.Helper()
-	preq := PartialRequest{CheckRequest: req, Slices: slices, Slice: slice, BudgetGroup: group}
-	resp, err := http.Post(url+"/v1/partial", "application/json", bytes.NewReader(mustJSON(t, preq)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e ErrorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		t.Fatalf("partial %d/%d: status %d: %s", slice, slices, resp.StatusCode, e.Error)
-	}
-	var out PartialResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return &out
-}
-
-// TestPartialMergeMatchesSingle is the HTTP-level half of the
-// partition property: for K in {1, 2, 3}, running the K slices through
-// /v1/partial and merging the wire responses yields the same verdict,
-// witness and stats as one POST /v1/rcdp, on both a complete and an
-// incomplete instance.
-func TestPartialMergeMatchesSingle(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	registerCRM(t, s)
-	for _, query := range []string{exQuery, incompleteQuery} {
-		req := CheckRequest{Catalog: "crm", DB: exDB, Query: query}
-		var single CheckResponse
-		if code := post(t, ts.URL+"/v1/rcdp", req, &single); code != http.StatusOK {
-			t.Fatalf("single: status %d", code)
-		}
-		for _, k := range []int{1, 2, 3} {
-			partials := make([]*PartialResponse, k)
-			for i := 0; i < k; i++ {
-				partials[i] = postPartial(t, ts.URL, req, k, i)
-			}
-			merged, status, err := mergePartials(partials)
-			if err != nil {
-				t.Fatalf("K=%d %q: merge: %v (status %d)", k, query, err, status)
-			}
-			if merged.Verdict != single.Verdict || merged.Reason != single.Reason ||
-				merged.Extension != single.Extension ||
-				fmt.Sprint(merged.NewTuple) != fmt.Sprint(single.NewTuple) {
-				t.Errorf("K=%d %q: merged %+v != single %+v", k, query, merged, single)
-			}
-			if merged.Stats == nil || single.Stats == nil {
-				t.Fatalf("K=%d %q: stats missing", k, query)
-			}
-			if merged.Stats.Valuations != single.Stats.Valuations ||
-				merged.Stats.JoinRows != single.Stats.JoinRows ||
-				merged.Stats.Tuples != single.Stats.Tuples {
-				t.Errorf("K=%d %q: merged stats %+v != single stats %+v",
-					k, query, merged.Stats, single.Stats)
-			}
-		}
-	}
-}
-
-// TestPartialBudgetGroupShares pins the budget_group wire contract:
-// slices of one fan-out carrying the same token that land on one
-// backend pool their MaxValuations spend, so the merged result
-// reproduces the single-process Unknown/valuations surface — where
-// the same slices without a token each get their own cap and prove a
-// Complete the single process gave up on (the per-slice divergence
-// core.TestPartitionBudgetClaim documents).
-func TestPartialBudgetGroupShares(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	// F ⊆ M with slack: the search visits candidates 0, 1, 2 across
-	// separate top-level branches; a cap of 1 stops the single process
-	// after the first, while solo per-slice caps let the fan-out keep
-	// enumerating.
-	req := CheckRequest{
-		Schemas:       `rel F(p)`,
-		MasterSchemas: `rel M(x)`,
-		Master:        "M(0). M(1). M(2).",
-		Constraints:   `cc c0(P) :- F(P) <= M[0]`,
-		DB:            "F(0).",
-		Query:         `Q(P) :- F(P)`,
-		Budget:        &BudgetOverride{MaxValuations: 1},
-	}
-	var single CheckResponse
-	if code := post(t, ts.URL+"/v1/rcdp", req, &single); code != http.StatusOK {
-		t.Fatalf("single: status %d", code)
-	}
-	if single.Verdict != "unknown" || single.Reason != "valuations" {
-		t.Fatalf("single: want unknown/valuations, got %s/%s", single.Verdict, single.Reason)
-	}
-
-	// Without a token each slice gets its own cap, and the slice owning
-	// the witness branch reaches it before tripping: the fan-out
-	// decides Incomplete where the single process gave up — the
-	// divergence the shared ledger removes.
-	legacy, status, err := mergePartials([]*PartialResponse{
-		postPartial(t, ts.URL, req, 2, 0),
-		postPartial(t, ts.URL, req, 2, 1),
-	})
-	if err != nil {
-		t.Fatalf("legacy merge: %v (status %d)", err, status)
-	}
-	if legacy.Verdict != "incomplete" {
-		t.Fatalf("per-slice caps: want the divergent incomplete, got %s/%s", legacy.Verdict, legacy.Reason)
-	}
-
-	// With one token per fan-out: pooled spend, the single-process
-	// surface at every K.
-	for _, k := range []int{1, 2, 8} {
-		group := newBudgetGroupToken()
-		partials := make([]*PartialResponse, k)
-		for i := 0; i < k; i++ {
-			partials[i] = postPartialGroup(t, ts.URL, req, k, i, group)
-		}
-		merged, status, err := mergePartials(partials)
-		if err != nil {
-			t.Fatalf("K=%d: merge: %v (status %d)", k, err, status)
-		}
-		if merged.Verdict != single.Verdict || merged.Reason != single.Reason {
-			t.Errorf("K=%d: merged %s/%s != single %s/%s",
-				k, merged.Verdict, merged.Reason, single.Verdict, single.Reason)
-		}
-	}
-	// Every group saw all its legs on this backend, so the registry
-	// drained itself.
-	s.partialGroups.mu.Lock()
-	left := len(s.partialGroups.groups)
-	s.partialGroups.mu.Unlock()
-	if left != 0 {
-		t.Errorf("budget-group registry holds %d undrained groups", left)
-	}
-}
-
-// TestPartialValidation: a bad plan is a 400.
-func TestPartialValidation(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	registerCRM(t, s)
-	preq := PartialRequest{
-		CheckRequest: CheckRequest{Catalog: "crm", DB: exDB, Query: exQuery},
-		Slices:       2, Slice: 5,
-	}
-	resp, err := http.Post(ts.URL+"/v1/partial", "application/json", bytes.NewReader(mustJSON(t, preq)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad plan: status %d, want 400", resp.StatusCode)
-	}
-}
-
 // clusterBackends starts n backend servers with the CRM catalog
 // registered on each, returning their base URLs.
 func clusterBackends(t *testing.T, n int) []string {
@@ -312,29 +155,68 @@ func clusterBackends(t *testing.T, n int) []string {
 	return urls
 }
 
-// TestCoordinatorFanout: the coordinator scatters across real HTTP
-// backends and the merged response matches a single backend's /v1/rcdp
-// answer, for both verdict polarities.
-func TestCoordinatorFanout(t *testing.T) {
-	backends := clusterBackends(t, 3)
-	coord := &Coordinator{Backends: backends}
-	for _, query := range []string{exQuery, incompleteQuery} {
-		req := CheckRequest{Catalog: "crm", DB: exDB, Query: query}
-		var single CheckResponse
-		if code := post(t, backends[0]+"/v1/rcdp", req, &single); code != http.StatusOK {
-			t.Fatalf("single: status %d", code)
+// TestRouterServesBackendRoutes walks the backend's route table and
+// sends one request per route straight to a backend and through a
+// router over two backends: the router must answer every route, with
+// the status the backend gives.
+func TestRouterServesBackendRoutes(t *testing.T) {
+	backends := clusterBackends(t, 2)
+	rt, err := NewRouter(RouterConfig{Backends: backends})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	send := func(method, url string) int {
+		t.Helper()
+		var body io.Reader
+		if method == http.MethodPost {
+			body = strings.NewReader("{}")
 		}
-		merged, status, err := coord.Check(context.Background(), &req)
+		req, err := http.NewRequest(method, url, body)
 		if err != nil {
-			t.Fatalf("%q: fan-out: %v (status %d)", query, err, status)
+			t.Fatal(err)
 		}
-		if merged.Verdict != single.Verdict || merged.Reason != single.Reason ||
-			merged.Extension != single.Extension ||
-			fmt.Sprint(merged.NewTuple) != fmt.Sprint(single.NewTuple) ||
-			merged.Stats.Valuations != single.Stats.Valuations ||
-			merged.Stats.JoinRows != single.Stats.JoinRows {
-			t.Errorf("%q: merged %+v (stats %+v) != single %+v (stats %+v)",
-				query, merged, merged.Stats, single, single.Stats)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, r := range New(Config{}).routes() {
+		method, path := http.MethodPost, r.pattern
+		if m, p, ok := strings.Cut(r.pattern, " "); ok {
+			method, path = m, p
+		}
+		path = strings.ReplaceAll(path, "{name}", "crm")
+		direct := send(method, backends[0]+path)
+		routed := send(method, front.URL+path)
+		if direct == http.StatusNotFound {
+			t.Fatalf("%s %s: backend answered 404; the probe must reach the handler", method, path)
+		}
+		if routed != direct {
+			t.Errorf("%s %s: router answered %d, backend %d", method, path, routed, direct)
+		}
+	}
+}
+
+// TestRingSpreadsSimilarNames: catalog names that differ only in
+// their last characters spread over the ring instead of crowding onto
+// one backend.
+func TestRingSpreadsSimilarNames(t *testing.T) {
+	rt, err := NewRouter(RouterConfig{Backends: []string{"http://127.0.0.1:8081", "http://127.0.0.1:8082"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := make([]int, 2)
+	for i := 0; i < 100; i++ {
+		owned[rt.pick(fmt.Sprintf("crm-%02d", i))]++
+	}
+	for b, n := range owned {
+		if n < 25 {
+			t.Errorf("backend %d owns %d of crm-00…crm-99 (split %v), want at least 25", b, n, owned)
 		}
 	}
 }
@@ -437,33 +319,6 @@ func TestRouterForwarding(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusServiceUnavailable || hr.Header.Get("Retry-After") == "" {
 		t.Fatalf("draining router: status %d Retry-After %q", hr.StatusCode, hr.Header.Get("Retry-After"))
-	}
-}
-
-// TestRouterFanoutMode: with Fanout set, the router's /v1/rcdp goes
-// through the coordinator and still matches the direct answer.
-func TestRouterFanoutMode(t *testing.T) {
-	backends := clusterBackends(t, 2)
-	rt, err := NewRouter(RouterConfig{Backends: backends, Fanout: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
-	for _, query := range []string{exQuery, incompleteQuery} {
-		req := CheckRequest{Catalog: "crm", DB: exDB, Query: query}
-		var direct, routed CheckResponse
-		if code := post(t, backends[0]+"/v1/rcdp", req, &direct); code != http.StatusOK {
-			t.Fatalf("direct: status %d", code)
-		}
-		if code := post(t, front.URL+"/v1/rcdp", req, &routed); code != http.StatusOK {
-			t.Fatalf("fanout: status %d", code)
-		}
-		if routed.Verdict != direct.Verdict || routed.Extension != direct.Extension ||
-			fmt.Sprint(routed.NewTuple) != fmt.Sprint(direct.NewTuple) ||
-			routed.Stats.Valuations != direct.Stats.Valuations {
-			t.Errorf("%q: fanout %+v != direct %+v", query, routed, direct)
-		}
 	}
 }
 

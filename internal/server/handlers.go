@@ -175,9 +175,9 @@ func (s *Server) refuseDraining(w http.ResponseWriter, id string) {
 // the slot with the decoded request and is responsible for the
 // response body and any endpoint-specific metrics; the
 // admission-to-response latency observation is shared. Every endpoint
-// — single checks, batches and partition slices alike — goes through
-// this one path, so the admission bound governs them uniformly (a
-// batch occupies one slot for its whole run).
+// — single checks and batches alike — goes through this one path, so
+// the admission bound governs them uniformly (a batch occupies one
+// slot for its whole run).
 func handleAdmitted[Req any](s *Server, endpoint string, serve func(ctx context.Context, id string, req *Req, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		obs.ServeRequests.Inc(endpoint)

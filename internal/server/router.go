@@ -23,18 +23,12 @@ type RouterConfig struct {
 	// Backends are the base URLs of the backend relserve processes
 	// (e.g. http://127.0.0.1:8081). Required.
 	Backends []string
-	// Fanout, when set, answers POST /v1/rcdp by scattering the check
-	// across ALL backends as partition slices (/v1/partial) and merging
-	// the results, instead of forwarding the whole request to one
-	// backend. The merged verdict is identical to a single process
-	// (core.MergeSlices).
-	Fanout bool
 	// RetryAfter is the hint attached to 503 responses while the router
 	// drains (default 1s).
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds buffered request bodies (default 16 MiB).
 	MaxBodyBytes int64
-	// Client is the HTTP client used for forwards, fan-out legs and
+	// Client is the HTTP client used for forwards, broadcasts and
 	// health probes (default http.DefaultClient).
 	Client *http.Client
 	// ReprobeInterval is how long an ejected backend stays out of the
@@ -61,10 +55,9 @@ type RouterConfig struct {
 // broadcast to every backend so any of them can serve any catalog when
 // the rotation moves.
 type Router struct {
-	cfg   RouterConfig
-	ring  []ringPoint
-	coord *Coordinator
-	mux   *http.ServeMux
+	cfg  RouterConfig
+	ring []ringPoint
+	mux  *http.ServeMux
 
 	draining atomic.Bool
 	wg       sync.WaitGroup
@@ -129,27 +122,20 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:     cfg,
-		coord:   &Coordinator{Backends: cfg.Backends, Client: cfg.Client},
 		health:  make([]backendHealth, len(cfg.Backends)),
 		applied: make([]int, len(cfg.Backends)),
 	}
 	for i, b := range cfg.Backends {
 		for v := 0; v < ringVnodes; v++ {
-			rt.ring = append(rt.ring, ringPoint{hash: fnvHash(b + "#" + strconv.Itoa(v)), backend: i})
+			rt.ring = append(rt.ring, ringPoint{hash: ringHash(b + "#" + strconv.Itoa(v)), backend: i})
 		}
 	}
 	sort.Slice(rt.ring, func(i, j int) bool { return rt.ring[i].hash < rt.ring[j].hash })
 
 	rt.mux = http.NewServeMux()
-	if cfg.Fanout {
-		rt.mux.HandleFunc("/v1/rcdp", rt.fanoutHandler)
-	} else {
-		rt.mux.HandleFunc("/v1/rcdp", rt.forwardHandler("rcdp"))
+	for _, ep := range []string{"rcdp", "rcqp", "bounded", "approximate", "advise", "batch", "mine"} {
+		rt.mux.HandleFunc("/v1/"+ep, rt.forwardHandler(ep))
 	}
-	rt.mux.HandleFunc("/v1/rcqp", rt.forwardHandler("rcqp"))
-	rt.mux.HandleFunc("/v1/bounded", rt.forwardHandler("bounded"))
-	rt.mux.HandleFunc("/v1/batch", rt.forwardHandler("batch"))
-	rt.mux.HandleFunc("/v1/partial", rt.forwardHandler("partial"))
 	rt.mux.HandleFunc("/v1/catalog", rt.catalogHandler)
 	rt.mux.HandleFunc("POST /v1/catalog/{name}/insert", rt.mutationHandler)
 	rt.mux.HandleFunc("POST /v1/catalog/{name}/delete", rt.mutationHandler)
@@ -202,18 +188,27 @@ func (rt *Router) refuse(w http.ResponseWriter, id string) {
 	writeError(w, id, http.StatusServiceUnavailable, "router is draining")
 }
 
-// fnvHash is the ring hash: 64-bit FNV-1a.
-func fnvHash(s string) uint64 {
+// ringHash places ring points and routing keys: 64-bit FNV-1a
+// finished with murmur3's fmix64 avalanche. Raw FNV-1a barely moves
+// its top bits when only a key's last bytes change, so names such as
+// crm-00 … crm-99 would crowd onto one arc of the ring.
+func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // pick maps a routing key to a backend index: the first ring point at
 // or after the key's hash, wrapping at the top. It ignores rotation
 // state; routed traffic goes through candidates/usable instead.
 func (rt *Router) pick(key string) int {
-	h := fnvHash(key)
+	h := ringHash(key)
 	i := sort.Search(len(rt.ring), func(i int) bool { return rt.ring[i].hash >= h })
 	if i == len(rt.ring) {
 		i = 0
@@ -227,7 +222,7 @@ func (rt *Router) pick(key string) int {
 // all of one catalog's traffic fails over to the SAME stand-in — the
 // cache-affinity property the ring buys survives ejection.
 func (rt *Router) candidates(key string) []int {
-	h := fnvHash(key)
+	h := ringHash(key)
 	i := sort.Search(len(rt.ring), func(i int) bool { return rt.ring[i].hash >= h })
 	out := make([]int, 0, len(rt.cfg.Backends))
 	seen := make(map[int]bool, len(rt.cfg.Backends))
@@ -411,39 +406,6 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 			return
 		}
 	}
-}
-
-// fanoutHandler answers POST /v1/rcdp by scattering partition slices
-// across all backends and merging (router -fanout mode).
-func (rt *Router) fanoutHandler(w http.ResponseWriter, r *http.Request) {
-	obs.ServeRequests.Inc("rcdp")
-	id := rt.nextRequestID()
-	w.Header().Set("X-Request-Id", id)
-	if r.Method != http.MethodPost {
-		writeError(w, id, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if rt.Draining() {
-		rt.refuse(w, id)
-		return
-	}
-	rt.wg.Add(1)
-	defer rt.wg.Done()
-	var req CheckRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, id, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	resp, status, err := rt.coord.Check(r.Context(), &req)
-	if err != nil {
-		writeError(w, id, status, "fan-out: %v", err)
-		return
-	}
-	resp.RequestID = id
-	obs.ServeVerdicts.Inc(resp.Verdict)
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // catalogHandler broadcasts registrations (POST) to every backend —

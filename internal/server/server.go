@@ -96,10 +96,6 @@ type Server struct {
 	wg       sync.WaitGroup // one unit per admitted request
 	reqSeq   atomic.Int64
 
-	// partialGroups pools valuation budgets across the slices of one
-	// partitioned check (POST /v1/partial budget_group).
-	partialGroups budgetGroups
-
 	// beforeCheck, when non-nil, runs inside the worker slot before the
 	// request body is processed. Tests use it to hold slots occupied
 	// while they probe admission control and draining.
@@ -142,26 +138,41 @@ func New(cfg Config) *Server {
 		sem:      make(chan struct{}, cfg.Workers),
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/rcdp", s.checkHandler("rcdp", s.runRCDP))
-	s.mux.HandleFunc("/v1/rcqp", s.checkHandler("rcqp", s.runRCQP))
-	s.mux.HandleFunc("/v1/bounded", s.checkHandler("bounded", s.runBounded))
-	s.mux.HandleFunc("/v1/approximate", handleAdmitted(s, "approximate", s.serveApproximate))
-	s.mux.HandleFunc("/v1/advise", handleAdmitted(s, "advise", s.serveAdvise))
-	s.mux.HandleFunc("/v1/batch", handleAdmitted(s, "batch", s.serveBatch))
-	s.mux.HandleFunc("/v1/mine", handleAdmitted(s, "mine", s.serveMine))
-	s.mux.HandleFunc("/v1/partial", handleAdmitted(s, "partial", s.servePartial))
-	s.mux.HandleFunc("/v1/catalog", s.catalogHandler)
-	s.mux.HandleFunc("POST /v1/catalog/{name}/insert", handleAdmitted(s, "insert", s.serveMutation("insert")))
-	s.mux.HandleFunc("POST /v1/catalog/{name}/delete", handleAdmitted(s, "delete", s.serveMutation("delete")))
-	s.mux.HandleFunc("GET /v1/catalog/{name}/verdicts", s.verdictsHandler)
-	s.mux.HandleFunc("/healthz", obs.HealthzHandler)
-	s.mux.HandleFunc("/readyz", s.readyzHandler)
+	for _, r := range s.routes() {
+		s.mux.HandleFunc(r.pattern, r.handler)
+	}
 	return s
 }
 
-// Handler returns the service's HTTP surface: the three check
-// endpoints, the catalog endpoint and the health probes. Metrics live
-// on the separate obs.Handler surface (the -metrics listener).
+// route is one pattern of the backend's HTTP surface.
+type route struct {
+	pattern string
+	handler http.HandlerFunc
+}
+
+// routes is the backend's HTTP surface, registered by New. A router
+// in front of the backends must serve every pattern in it
+// (TestRouterServesBackendRoutes).
+func (s *Server) routes() []route {
+	return []route{
+		{"/v1/rcdp", s.checkHandler("rcdp", s.runRCDP)},
+		{"/v1/rcqp", s.checkHandler("rcqp", s.runRCQP)},
+		{"/v1/bounded", s.checkHandler("bounded", s.runBounded)},
+		{"/v1/approximate", handleAdmitted(s, "approximate", s.serveApproximate)},
+		{"/v1/advise", handleAdmitted(s, "advise", s.serveAdvise)},
+		{"/v1/batch", handleAdmitted(s, "batch", s.serveBatch)},
+		{"/v1/mine", handleAdmitted(s, "mine", s.serveMine)},
+		{"/v1/catalog", s.catalogHandler},
+		{"POST /v1/catalog/{name}/insert", handleAdmitted(s, "insert", s.serveMutation("insert"))},
+		{"POST /v1/catalog/{name}/delete", handleAdmitted(s, "delete", s.serveMutation("delete"))},
+		{"GET /v1/catalog/{name}/verdicts", s.verdictsHandler},
+		{"/healthz", obs.HealthzHandler},
+		{"/readyz", s.readyzHandler},
+	}
+}
+
+// Handler returns the service's HTTP surface (see routes). Metrics
+// live on the separate obs.Handler surface (the -metrics listener).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Catalog returns the master-data catalog for out-of-band registration

@@ -1,11 +1,10 @@
 #!/bin/sh
 # End-to-end smoke test for the relserve scale-out: generate a CRM
 # scenario, start two backends with the catalog preloaded plus a
-# consistent-hash router in front (and a second router in -fanout
-# mode), drive them with relload, and assert (a) a router burst
-# finishes with zero transport errors and zero drops, (b) the verdict
-# counts seen through the router — plain and fanout — are identical to
-# the direct-backend run, and (c) /v1/backends reports both backends
+# consistent-hash router in front, drive them with relload, and assert
+# (a) a router burst finishes with zero transport errors and zero
+# drops, (b) the verdict counts seen through the router are identical
+# to the direct-backend run, and (c) /v1/backends reports both backends
 # ready. Run via `make cluster-smoke`.
 set -eu
 
@@ -70,14 +69,7 @@ pid=$!
 pids="$pids $pid"
 wait_addr "$tmp/router.addr" "$pid" "router"
 ROUTER="http://$(cat "$tmp/router.addr")"
-
-"$tmp/relserve" -addr 127.0.0.1:0 -addr-file "$tmp/fanout.addr" \
-    -route "$B1,$B2" -fanout >"$tmp/fanout.log" 2>&1 &
-pid=$!
-pids="$pids $pid"
-wait_addr "$tmp/fanout.addr" "$pid" "fanout"
-FANOUT="http://$(cat "$tmp/fanout.addr")"
-echo "cluster-smoke: routers up on $ROUTER (hash) and $FANOUT (fanout)"
+echo "cluster-smoke: router up on $ROUTER"
 
 # Both backends must be ready through the router's health endpoint.
 backends=$(curl -fsS "$ROUTER/v1/backends")
@@ -97,13 +89,12 @@ run_load() { # out extra-args...
 
 run_load direct.json -addr "$B1"
 run_load routed.json -addr "$ROUTER"
-run_load fanout.json -addr "$FANOUT"
 
 verdicts() { # file -> normalized verdict object
     sed -n '/"verdicts": {/,/}/p' "$tmp/$1" | tr -d ' \n'
 }
 
-for rep in direct routed fanout; do
+for rep in direct routed; do
     for field in '"errors": 0' '"dropped": 0' '"ok": 16'; do
         grep -q "$field" "$tmp/$rep.json" || {
             echo "cluster-smoke: $rep report missing $field" >&2
@@ -114,14 +105,12 @@ for rep in direct routed fanout; do
 done
 
 direct=$(verdicts direct.json)
-for rep in routed fanout; do
-    got=$(verdicts "$rep.json")
-    if [ "$got" != "$direct" ]; then
-        echo "cluster-smoke: $rep verdicts $got differ from direct $direct" >&2
-        exit 1
-    fi
-done
-echo "cluster-smoke: routed and fanout verdicts identical to direct ($direct)"
+routed=$(verdicts routed.json)
+if [ "$routed" != "$direct" ]; then
+    echo "cluster-smoke: routed verdicts $routed differ from direct $direct" >&2
+    exit 1
+fi
+echo "cluster-smoke: routed verdicts identical to direct ($direct)"
 
 # A burst through the router with a batch per request: still no errors
 # and no drops, and all 64 per-item verdicts agree with the direct run.
