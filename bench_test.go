@@ -20,6 +20,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -88,6 +89,50 @@ func BenchmarkForallExistsQD(b *testing.B) {
 		rows += g.Rows()
 	}
 	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+}
+
+// BenchmarkRCDPSatFamily times Workers=1 RCDP checks on the sat-search
+// shape: one op checks all 30 instances of the golden ∀∃3SAT family
+// (seeds 1–30 of internal/core's witness golden: 10 variables, 12
+// clauses drawn by math/rand, 5 universal). allocs/op and
+// valuations/op (complete valuations the searches reach) are exactly
+// reproducible at Workers=1.
+func BenchmarkRCDPSatFamily(b *testing.B) {
+	var insts []*reductions.RCDPInstance
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		phi := sat.NewCNF(10)
+		for i := 0; i < 12; i++ {
+			cl := make(sat.Clause, 3)
+			for j := range cl {
+				l := sat.Literal(rng.Intn(10) + 1)
+				if rng.Intn(2) == 0 {
+					l = -l
+				}
+				cl[j] = l
+			}
+			phi.Clauses = append(phi.Clauses, cl)
+		}
+		inst, err := reductions.ForallExistsToRCDP(phi, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts = append(insts, inst)
+	}
+	ck := &core.Checker{Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	valuations := 0
+	for i := 0; i < b.N; i++ {
+		for _, inst := range insts {
+			r, err := ck.RCDPCtx(context.Background(), inst.Q, inst.D, inst.Dm, inst.V)
+			if err != nil {
+				b.Fatal(err)
+			}
+			valuations += r.Valuations
+		}
+	}
+	b.ReportMetric(float64(valuations)/float64(b.N), "valuations/op")
 }
 
 func crmScenario(customers int) (*mdm.Scenario, *cc.Set) {

@@ -217,3 +217,36 @@ func TestWilsonInterval(t *testing.T) {
 		}
 	}
 }
+
+// degreeOfSeeds holds DegreeCtx's exact {Candidates, Counterexamples}
+// on the golden ∀∃3SAT family (seeds 1–30 of goldenCases), measured
+// before the valuation search gained its head cut. DegreeCtx counts
+// answered heads as covered candidates, so it runs without the cut and
+// these counts, and with them every degree, must not move.
+var degreeOfSeeds = [30][2]int{
+	{1268, 256}, {1255, 128}, {1220, 224}, {1228, 192}, {1327, 160},
+	{1219, 64}, {1260, 384}, {1254, 384}, {1258, 128}, {1182, 32},
+	{1192, 352}, {1180, 384}, {1224, 384}, {1261, 384}, {1256, 384},
+	{1128, 352}, {1326, 0}, {1229, 256}, {1408, 0}, {1264, 384},
+	{1418, 0}, {1212, 128}, {1322, 128}, {1212, 480}, {1124, 640},
+	{1131, 256}, {1108, 384}, {1340, 384}, {1163, 352}, {1228, 0},
+}
+
+// TestDegreeCountsGoldenFamily pins DegreeCtx's candidate and
+// counterexample counts on the golden ∀∃3SAT family.
+func TestDegreeCountsGoldenFamily(t *testing.T) {
+	for i, gc := range goldenCases(t)[:len(degreeOfSeeds)] {
+		r, err := (&Checker{Workers: 1}).DegreeCtx(context.Background(), gc.q, gc.d, gc.dm, gc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", gc.name, err)
+		}
+		want := degreeOfSeeds[i]
+		if !r.Exact || r.Candidates != want[0] || r.Counterexamples != want[1] {
+			t.Errorf("%s: exact=%v candidates=%d counterexamples=%d, want exact %d/%d",
+				gc.name, r.Exact, r.Candidates, r.Counterexamples, want[0], want[1])
+		}
+		if (r.Verdict == VerdictComplete) != (*gc.want == VerdictComplete) {
+			t.Errorf("%s: degree verdict %s, independent decider says %s", gc.name, r.Verdict, *gc.want)
+		}
+	}
+}

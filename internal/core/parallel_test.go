@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/cq"
 	"repro/internal/qlang"
 	"repro/internal/query"
@@ -151,27 +153,38 @@ func TestParallelRCQPMatchesSequential(t *testing.T) {
 // TestParallelBudgetExceeded pins the MaxValuations semantics under
 // parallelism: on instances the sequential engine abandons with
 // ErrBudgetExceeded (complete instances, so no witness can pre-empt the
-// budget claim), the parallel engine must abandon too.
+// budget claim), the parallel engine must abandon too. Only leaves
+// whose head is not yet answered are charged (the head cut skips the
+// rest), so every instance here is complete because V rejects each
+// extension, not because Q(D) already holds each head.
 func TestParallelBudgetExceeded(t *testing.T) {
-	// A tiny deterministic case first: F holds both values of its finite
-	// domain, so q5 is complete and the search space (2 valuations)
-	// exceeds a budget of 1.
+	// A tiny deterministic case first: F is empty and a denial forbids
+	// any F row, so q5 is complete, and both valuations of its finite
+	// domain reach a leaf, exceeding a budget of 1. The denial joins two
+	// F atoms so that it is no IND and the IND pruner leaves it to the
+	// leaf check.
 	r, f := microSchema()
 	d := relation.NewDatabase(r, f)
-	d.MustAdd("F", "0")
-	d.MustAdd("F", "1")
+	noF := cc.NewSet((&cc.Denial{Name: "noF", Atoms: []query.RelAtom{
+		query.Atom("F", v("p")), query.Atom("F", v("p2"))}}).ToCC())
 	q5 := microQueries()[4]
+	if full, err := (&Checker{Workers: 1}).RCDP(q5, d, nil, noF); err != nil || !full.Complete || full.Valuations != 2 {
+		t.Fatalf("unbudgeted q5: want complete after 2 valuations, got %+v (err %v)", full, err)
+	}
 	for _, workers := range []int{1, 8} {
 		ck := &Checker{MaxValuations: 1, Workers: workers}
-		if _, err := ck.RCDP(q5, d, nil, nil); err != ErrBudgetExceeded {
+		if _, err := ck.RCDP(q5, d, nil, noF); err != ErrBudgetExceeded {
 			t.Fatalf("workers=%d: want ErrBudgetExceeded, got %v", workers, err)
 		}
 	}
 
-	// Then randomized: find complete instances whose full search costs
-	// more than the budget and check both engines give up. MaxValuations
-	// caps each disjunct separately, so only single-disjunct queries let
-	// the cumulative Valuations counter predict budget exhaustion.
+	// Then randomized: find complete instances whose full search reaches
+	// more leaves than the budget and check both engines give up. Most
+	// draws are complete because Q(D) already holds every head, which the
+	// head cut settles without a leaf, so the draw runs up to 4,000
+	// trials to find 20 that are not. MaxValuations caps each disjunct
+	// separately, so only single-disjunct queries let the cumulative
+	// Valuations counter predict budget exhaustion.
 	rng := rand.New(rand.NewSource(23))
 	var queries []qlang.Query
 	for _, q := range microQueries() {
@@ -182,7 +195,7 @@ func TestParallelBudgetExceeded(t *testing.T) {
 	sets := microConstraintSets()
 	probe := &Checker{Workers: 1}
 	checked := 0
-	for trial := 0; trial < 400 && checked < 20; trial++ {
+	for trial := 0; trial < 4000 && checked < 20; trial++ {
 		q := queries[rng.Intn(len(queries))]
 		cs := sets[rng.Intn(len(sets))]
 		db := randomMicroDB(rng)
@@ -311,5 +324,47 @@ func TestParallelBoundedRCDPMatchesSequential(t *testing.T) {
 	}
 	if trials < 15 {
 		t.Fatalf("too few partially closed trials: %d", trials)
+	}
+}
+
+// TestHeadCutAnsweredBooleanHead pins the head cut for heads without
+// slots: a Boolean (or constant-head) query already true on D decides
+// Complete before any search, charging no valuations, at Workers 1 and
+// 2. The Naive ablation and DegreeCtx run without the cut and still
+// enumerate the candidates.
+func TestHeadCutAnsweredBooleanHead(t *testing.T) {
+	r, f := microSchema()
+	d := relation.NewDatabase(r, f)
+	d.MustAdd("R", "a", "b")
+	for _, q := range []qlang.Query{
+		qlang.FromCQ(cq.New("qb", nil, []query.RelAtom{query.Atom("R", v("x"), v("y"))})),
+		qlang.FromCQ(cq.New("qc", []query.Term{c("a")}, []query.RelAtom{query.Atom("R", c("a"), v("y"))})),
+	} {
+		for _, workers := range []int{1, 2} {
+			res, err := (&Checker{Workers: workers}).RCDP(q, d, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Complete || res.Valuations != 0 {
+				t.Errorf("%s workers=%d: complete=%v valuations=%d, want complete after 0",
+					q, workers, res.Complete, res.Valuations)
+			}
+		}
+		naive, err := (&Checker{Workers: 1, Naive: true}).RCDP(q, d, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !naive.Complete || naive.Valuations == 0 {
+			t.Errorf("%s naive: complete=%v valuations=%d, want complete after a search",
+				q, naive.Complete, naive.Valuations)
+		}
+		deg, err := (&Checker{Workers: 1}).DegreeCtx(context.Background(), q, d, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deg.Verdict != VerdictComplete || deg.Candidates == 0 {
+			t.Errorf("%s degree: verdict=%s candidates=%d, want complete over every candidate",
+				q, deg.Verdict, deg.Candidates)
+		}
 	}
 }

@@ -14,16 +14,22 @@ import (
 // (76,253–77,821 per instance): the join walked every assignment of
 // the ten variables through the whole clause circuit. The cut
 // enumerates each answer's subtree only to its first match and skips
-// settled ones, 985,775 rows now. The Workers=1 searches visited
-// 10,434 valuations in total before the cut and must still.
+// settled ones, 985,775 rows now.
+//
+// The valuation search has the same cut against Q(D)'s answer set: a
+// branch stops once the head slots x1..x5 are bound to an answered
+// head. Every complete instance of the family answers all 32 heads, so
+// its search reaches no leaf, and an incomplete one reaches only its
+// witness. The Workers=1 searches visited 10,434 valuations in total
+// before that cut and 26 with it (one per incomplete seed).
 const (
 	qdRowsBeforeCut   = 2323124
-	valuationsOfSeeds = 10434
+	valuationsOfSeeds = 26
 )
 
 // TestForallExistsQDRows bounds the governed join rows of Q(D) on the
-// golden ∀∃3SAT family at half the count before the head cut, and pins
-// the Workers=1 valuation count the cut must not move.
+// golden ∀∃3SAT family at half the count before EvalGate's head cut,
+// and pins the Workers=1 valuation count of the search's head cut.
 func TestForallExistsQDRows(t *testing.T) {
 	var rows int64
 	valuations := 0

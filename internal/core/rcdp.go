@@ -39,10 +39,13 @@ type RCDPResult struct {
 	// NewTuple is μ(u_Disjunct). It is built from the search's id
 	// valuation for this result alone, so callers may keep or mutate it.
 	Valuation query.Binding
-	// Valuations is the number of candidate valuations inspected. It is
-	// a work counter, not part of the verdict: the parallel engine
-	// counts speculative work that the sequential engine's early return
-	// skips, so only Workers=1 runs reproduce it exactly.
+	// Valuations is the number of complete valuations the search
+	// reached. The head cut skips every branch whose head is already in
+	// Q(D) before it reaches a leaf, so none of them is counted (Naive
+	// runs, which do not cut, count them). It is a work counter, not
+	// part of the verdict: the parallel engine counts speculative work
+	// that the sequential engine's early return skips, so only
+	// Workers=1 runs reproduce it exactly.
 	Valuations int
 }
 
@@ -226,6 +229,23 @@ func (ck *Checker) prepareRCDP(q qlang.Query, d, dm *relation.Database, v *cc.Se
 	return &rcdpPrep{searches: searches, schemas: schemas, answerSet: answerSet, check: v.PrepareDelta(d, dm)}, nil
 }
 
+// cutHeads turns on the head cut of every disjunct search against the
+// check's answer set. A disjunct whose head has no slots and is already
+// answered can yield no witness at all, so it is dropped before its
+// search runs, charging no valuations. DegreeCtx counts every candidate,
+// answered heads included, so only the decision procedure cuts.
+func (prep *rcdpPrep) cutHeads() {
+	for di, s := range prep.searches {
+		if s == nil {
+			continue
+		}
+		s.answered = prep.answerSet
+		if s.headAt < 0 && s.newValuation().headAnswered() {
+			prep.searches[di] = nil
+		}
+	}
+}
+
 // idKeySet returns the set of the tuples' fixed-width id-keys
 // (relation.AppendIDKey over the shared dictionary), interning their
 // values.
@@ -258,6 +278,9 @@ func (ck *Checker) rcdp(q qlang.Query, d, dm *relation.Database, v *cc.Set, pool
 	}
 	if prep == nil {
 		return &RCDPResult{Complete: true}, nil
+	}
+	if !ck.Naive {
+		prep.cutHeads()
 	}
 
 	if workers := ck.effectiveWorkers(); workers > 1 {

@@ -78,6 +78,16 @@ type valuationSearch struct {
 	// breaking; kept for the ablation benchmarks.
 	naive bool
 
+	// answered, when non-nil, turns on the head cut: it is the check's
+	// Q(D) answer set, keyed on the head rows' id-keys. Once headAt,
+	// the highest head slot, is assigned and admitted, a branch whose
+	// μ(u) is already answered is skipped whole, since every completion
+	// has the same head and Proposition 3.3 rules all of them out. A
+	// head without slots (headAt < 0) is probed once before the search
+	// (see rcdpPrep.cutHeads).
+	answered map[string]bool
+	headAt   int
+
 	// budget, when positive, caps the number of complete candidate
 	// valuations visited.
 	budget int
@@ -179,6 +189,10 @@ func newValuationSearch(u *Universe, t *cq.Tableau, schemas map[string]*relation
 		fixed:     make([]int, len(order)),
 		fresh:     u.freshIDs,
 		naive:     opts.naive,
+		headAt:    -1,
+	}
+	for _, h := range s.head {
+		s.headAt = max(s.headAt, int(h.slot))
 	}
 	for i, tpl := range t.Templates {
 		s.templates[i] = terms(tpl.Args)
@@ -333,6 +347,10 @@ func (mu *valuation) apply(schemas map[string]*relation.Schema) (*relation.Datab
 // allocating.
 func (mu *valuation) release(db *relation.Database) { mu.spare = db }
 
+// headAnswered reports whether μ(u) is in the search's answer set; the
+// head slots must be bound.
+func (mu *valuation) headAnswered() bool { return mu.s.answered[string(mu.headKey())] }
+
 // headTuple returns μ(u), the instantiated output summary.
 func (mu *valuation) headTuple() relation.Tuple {
 	dict := relation.Shared()
@@ -411,12 +429,13 @@ func (w *searchWorker) rec(i, freshUsed int) error {
 	return nil
 }
 
-// step assigns id to slot i and, when the assignment is admitted,
-// searches the slots after it; a fresh value first used here raises the
-// symmetry level.
+// step assigns id to slot i and, when the assignment is admitted and
+// does not complete an already-answered head (the head cut), searches
+// the slots after it; a fresh value first used here raises the symmetry
+// level.
 func (w *searchWorker) step(i int, id int32, freshUsed int) error {
 	var err error
-	if w.assign(i, id) {
+	if w.assign(i, id) && !w.cut(i) {
 		if fresh := w.s.fresh; freshUsed < len(fresh) && id == fresh[freshUsed] {
 			freshUsed++
 		}
@@ -450,6 +469,13 @@ func (w *searchWorker) leaf() error {
 		w.claim = claim
 	}
 	return errStop
+}
+
+// cut reports whether the head cut skips the subtree below slot i:
+// slot i completes the head and μ(u) is already answered.
+func (w *searchWorker) cut(i int) bool {
+	s := w.s
+	return s.answered != nil && i == s.headAt && w.mu.headAnswered()
 }
 
 // assign binds slot i to id and checks what became decidable: the

@@ -221,6 +221,32 @@ func TestRingSpreadsSimilarNames(t *testing.T) {
 	}
 }
 
+// TestRouterSpreadsInlineBodies: inline batch bodies carry no catalog,
+// name or query field, so each body is its own ring key; distinct ones
+// reach both backends instead of all landing on one.
+func TestRouterSpreadsInlineBodies(t *testing.T) {
+	rt, err := NewRouter(RouterConfig{Backends: clusterBackends(t, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	for i := 0; i < 16; i++ {
+		code, lines := postBatch(t, front.URL, BatchRequest{
+			Schemas: exSchemas, MasterSchemas: exMasterSchemas, DB: exDB,
+			Master: exMaster, Constraints: exConstraints,
+			Queries: []string{fmt.Sprintf("Q(C) :- Supt(E, D, C), E = e%d", i)},
+		})
+		if code != http.StatusOK || len(lines) != 1 || lines[0].Error != "" {
+			t.Fatalf("inline batch %d: status %d lines %+v", i, code, lines)
+		}
+	}
+	f0, f1 := rt.health[0].forwards.Load(), rt.health[1].forwards.Load()
+	if f0 == 0 || f1 == 0 {
+		t.Errorf("16 distinct inline batches split %d/%d over the backends, want both used", f0, f1)
+	}
+}
+
 // TestRouterForwarding: the router forwards checks to ring-picked
 // backends, broadcasts catalog registrations, reports backend health
 // and drains with Retry-After.

@@ -128,14 +128,16 @@ func (e *Entry) bump() {
 }
 
 // Mutate applies dl to the entry and maintains every watched verdict.
-// Each verdict is gated on the PRE-apply state — the projections and
-// active domain its cached result was computed against: verdicts the
-// invisibility gate proves untouched are reused (a cached Incomplete
-// witness is first cheaply revalidated as defense in depth), the rest
-// rerun cold over the incrementally patched data. An apply error (e.g.
-// arity mismatch) leaves the entry unchanged; a recheck error keeps the
-// batch applied (it already happened), resets that query's verdict to
-// stale and is reported after the remaining queries are maintained.
+// A batch that changes no row keeps every verdict and the version as
+// they are. Otherwise each verdict is gated on the PRE-apply state —
+// the projections and active domain its cached result was computed
+// against: verdicts the invisibility gate proves untouched are reused
+// (a cached Incomplete witness is first cheaply revalidated as defense
+// in depth), the rest rerun cold over the incrementally patched data.
+// An apply error (e.g. arity mismatch) leaves the entry unchanged; a
+// recheck error keeps the batch applied (it already happened), resets
+// that query's verdict to stale and is reported after the remaining
+// queries are maintained.
 func (e *Entry) Mutate(ctx context.Context, ck *core.Checker, dl *core.Delta) (mutationOutcome, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -150,6 +152,18 @@ func (e *Entry) Mutate(ctx context.Context, ck *core.Checker, dl *core.Delta) (m
 	var err error
 	if out.ins, out.del, err = dl.Apply(e.D, e.Dm, e.V); err != nil {
 		return mutationOutcome{}, err
+	}
+	if out.ins+out.del == 0 {
+		// No row changed (duplicate inserts, absent deletes or an empty
+		// batch): every verdict still holds, the version stays and no
+		// long-poll wakes.
+		for _, src := range e.watched {
+			obs.RecheckReused.Inc()
+			e.verdicts[src].reused = true
+		}
+		out.reused = len(e.watched)
+		out.version = e.version
+		return out, nil
 	}
 	var firstErr error
 	for _, src := range e.watched {

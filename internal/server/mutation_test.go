@@ -152,6 +152,56 @@ func TestMutationMasterReuse(t *testing.T) {
 	}
 }
 
+// TestMutationNoop: a batch that changes no row (an empty body, a
+// re-insert of resident facts, a delete of an absent fact) keeps every
+// watched verdict, reports each one as reused, leaves the version
+// alone and wakes no long-poll.
+func TestMutationNoop(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	registerMaintainedCRM(t, ts)
+
+	done := make(chan *VerdictsResponse, 1)
+	go func() {
+		_, vr := getVerdicts(t, ts.URL+"/v1/catalog/crm/verdicts?after=1&wait_ms=400")
+		done <- vr
+	}()
+	time.Sleep(50 * time.Millisecond)
+
+	for _, m := range []struct {
+		op   string
+		body any
+	}{
+		{"insert", json.RawMessage(`{}`)},
+		{"insert", MutationRequest{Facts: exDB}},
+		{"delete", MutationRequest{Facts: "Supt(e1, sales, c2)."}},
+	} {
+		var mr MutationResponse
+		code := post(t, ts.URL+"/v1/catalog/crm/"+m.op, m.body, &mr)
+		if code != http.StatusOK {
+			t.Fatalf("%s %v: status %d: %+v", m.op, m.body, code, mr)
+		}
+		if mr.Inserted != 0 || mr.Deleted != 0 || mr.Reused != 2 || mr.Rechecked != 0 || mr.Version != 1 {
+			t.Fatalf("%s %v: response %+v, want 0 changed, 2 reused, 0 rechecked, version 1", m.op, m.body, mr)
+		}
+	}
+
+	select {
+	case vr := <-done:
+		t.Fatalf("long-poll woke on a no-op mutation: %+v", vr)
+	case <-time.After(100 * time.Millisecond):
+	}
+	vr := <-done // the wait expires with the unchanged state
+	if vr.Version != 1 {
+		t.Fatalf("expired poll saw version %d, want 1", vr.Version)
+	}
+	if v := verdictOf(t, vr, exQuery); v.Verdict != "complete" || !v.Reused {
+		t.Fatalf("Q1 after no-ops = %+v, want complete with reused=true", v)
+	}
+	if v := verdictOf(t, vr, incompleteQuery); v.Verdict != "incomplete" || v.Extension == "" || !v.Reused {
+		t.Fatalf("Q2 after no-ops = %+v, want incomplete with witness and reused=true", v)
+	}
+}
+
 // TestVerdictsLongPoll: a poll parked on ?after=current wakes when a
 // mutation bumps the version and sees the flipped verdict.
 func TestVerdictsLongPoll(t *testing.T) {

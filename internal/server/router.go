@@ -270,8 +270,10 @@ func (rt *Router) usable(ctx context.Context, backend int) bool {
 // routeKey extracts the consistent-hash key from a buffered request
 // body with a tolerant decode: the catalog reference when present
 // (check and batch requests), the entry name (catalog registrations),
-// else the query text. Unknown fields are ignored — the backend
-// revalidates strictly.
+// else the query text. A body with none of them (an inline batch's
+// queries, an inline mining evidence document) is its own key, so such
+// requests spread over the ring instead of sharing one backend.
+// Unknown fields are ignored — the backend revalidates strictly.
 func routeKey(body []byte) string {
 	var probe struct {
 		Catalog string `json:"catalog"`
@@ -284,8 +286,10 @@ func routeKey(body []byte) string {
 		return probe.Catalog
 	case probe.Name != "":
 		return probe.Name
-	default:
+	case probe.Query != "":
 		return probe.Query
+	default:
+		return string(body)
 	}
 }
 
